@@ -33,6 +33,7 @@ from .lrv import (
 )
 from .mc import (
     ProcessConfig,
+    _fmt,
     load_config,
     run_experiment,
     simulate_path,
@@ -55,10 +56,6 @@ def read_series(path) -> np.ndarray:
     if not values:
         raise GlstatError(f"no data in {path}")
     return np.array(values)
-
-
-def _fmt(x: float) -> str:
-    return float.__format__(float(x), ".17g")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,8 +143,7 @@ def _gl_spec_for(name: str, args):
 
 def _point_estimate(args, x) -> float:
     if args.estimator in ("gini", "gini_os"):
-        form = "order_statistic" if args.estimator == "gini_os" else "pairwise"
-        return estimator_gini(x, form=form)
+        return estimator_gini(x)
     if args.estimator == "q":
         return estimator_q(x, m=args.m, alpha=args.alpha)
     if args.estimator == "c":

@@ -23,7 +23,6 @@ from .ustat import (
     KernelValueSet,
     as_sample,
     kernel_values,
-    u_statistic,
 )
 
 # ascending polynomial coefficients per piece: (lo, hi, (c0, c1, ...))
@@ -160,19 +159,18 @@ def gl_statistic(sample, spec: GLSpec, cap: int = DEFAULT_ENUM_CAP,
 
 # --- named estimator catalog ----------------------------------------------
 
-def estimator_gini(sample, form: str = "order_statistic",
-                   cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Gini's mean difference, via pairwise enumeration or the
-    O(n log n) order-statistic identity."""
+def estimator_gini(sample) -> float:
+    """Gini's mean difference, the U-statistic of |x - y|, by the
+    O(n log n) order-statistic identity
+
+        2 / (n (n - 1)) * sum_i (2 i - n - 1) X_(i).
+    """
     x = as_sample(sample)
-    if x.size < 2:
+    n = x.size
+    if n < 2:
         raise InsufficientDataError("Gini's mean difference needs n >= 2")
-    if form == "order_statistic":
-        return u_statistic(x, builtin_kernel("gini_abs_diff"))
-    if form == "pairwise":
-        kvs = kernel_values(x, builtin_kernel("gini_abs_diff"), cap=cap)
-        return float(np.mean(kvs.sorted_values))
-    raise ValueError(f"unknown Gini form {form!r}")
+    i = np.arange(1, n + 1)
+    return float(2.0 / (n * (n - 1)) * np.sum((2 * i - n - 1) * np.sort(x)))
 
 
 def estimator_q(sample, m: int = 3, alpha: float = 0.5,

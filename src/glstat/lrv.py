@@ -19,23 +19,24 @@ sorted kernel values and is computed exactly (no quadrature).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, sqrt
-from typing import Callable, Optional, Tuple, Union
+from math import sqrt
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.stats import norm
 
 from .errors import DegenerateDensityError, InsufficientDataError
 from .gl import GLSpec, gl_statistic
-from .kernels import KernelSpec, eval_kernel, eval_kernel_rows
+# eval_kernel_rows is unused here but stays a module attribute:
+# perfbench/tracing.py counts kernel rows by rebinding lrv.eval_kernel_rows
+from .kernels import KernelSpec, eval_kernel, eval_kernel_rows  # noqa: F401
 from .ustat import (
     DEFAULT_ENUM_CAP,
     KernelValueSet,
-    _g1_denominators,
-    _rows_with_first,
     as_sample,
     g1_hat_all,
     kernel_values,
+    project,
 )
 
 
@@ -159,11 +160,15 @@ def lrv_ustat(sample, kernel: KernelSpec,
 def density_at_uquantile(sample, kernel: KernelSpec, p: float,
                          cfg: Optional[LrvConfig] = None,
                          cap: int = DEFAULT_ENUM_CAP,
-                         kvs: Optional[KernelValueSet] = None) -> float:
+                         kvs: Optional[KernelValueSet] = None,
+                         convention: str = "ceil") -> float:
     """Finite-difference density of H_n at the empirical U-quantile:
 
         hhat(xi_p) = (H_n(xi_p + d) - H_n(xi_p - d)) / (2 d),
         d = c * IQR(kernel values) * n^(-1/5).
+
+    xi_p is taken in the given quantile ``convention`` (that of the
+    estimate); the IQR always uses the ceil convention.
     """
     cfg = cfg or LrvConfig()
     if not 0.0 < p < 1.0:
@@ -171,7 +176,7 @@ def density_at_uquantile(sample, kernel: KernelSpec, p: float,
     x = as_sample(sample)
     if kvs is None:
         kvs = kernel_values(x, kernel, cap=cap)
-    xi = kvs.quantile(p)
+    xi = kvs.quantile(p, convention)
     iqr = kvs.quantile(0.75) - kvs.quantile(0.25)
     delta = cfg.density_halfwidth_c * iqr * x.size ** (-0.2)
     if delta <= 0.0:
@@ -201,9 +206,6 @@ class PluginContext:
     _suffix: np.ndarray
     _k0: float
     _j_at_zero: float
-    # sum of A over the sorted kernel values, cached for the Ahat_1
-    # centering term (filled in by build_plugin)
-    _a_sum_kernel_values: float = float("nan")
     # when J == c is constant the integral term collapses to
     # c * (v - mean(kernel values)); (c, mean) or None
     _linear_shortcut: Optional[Tuple[float, float]] = None
@@ -217,16 +219,8 @@ class PluginContext:
             out += c * (v - mean_w)
         elif self._suffix.size:
             w = self.kvs.sorted_values
-            # r(v): first 1-based index k with w_k >= v.  Random-order
-            # keys make searchsorted cache-hostile, so large batches are
-            # ranked through a sort.
-            if v.size > 65536:
-                order = np.argsort(v, kind="stable")
-                r = np.empty(v.size, dtype=np.intp)
-                r[order] = np.searchsorted(w, v[order], side="left")
-                r += 1
-            else:
-                r = np.searchsorted(w, v, side="left") + 1
+            # r(v): first 1-based index k with w_k >= v
+            r = np.searchsorted(w, v, side="left") + 1
             out -= self._suffix[np.minimum(r, self._suffix.size - 1)] - self._k0
             if self._j_at_zero != 0.0:
                 # below the smallest kernel value H_n == 0, so the
@@ -268,18 +262,17 @@ def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
         suffix = np.zeros(N + 1)
         suffix[1:N] = np.cumsum(c[::-1])[::-1]
         suffix[0] = suffix[1]
+    # xi_hat and the density sit at the estimate's own quantile convention
+    conv = spec.quantile_convention
     qs, ds = [], []
     for _, p in spec.discrete:
-        qs.append(kvs.quantile(p))
+        qs.append(kvs.quantile(p, conv))
         ds.append(density_at_uquantile(x, spec.kernel, p, cfg, cap=cap,
-                                       kvs=kvs))
-    plugin = PluginContext(kvs=kvs, spec=spec, quantiles=tuple(qs),
-                           densities=tuple(ds), _suffix=suffix, _k0=k0,
-                           _j_at_zero=float(spec.weight(0.0)),
-                           _linear_shortcut=shortcut)
-    a_sum = float(np.sum(plugin.a_of_values(w)))
-    object.__setattr__(plugin, "_a_sum_kernel_values", a_sum)
-    return plugin
+                                       kvs=kvs, convention=conv))
+    return PluginContext(kvs=kvs, spec=spec, quantiles=tuple(qs),
+                         densities=tuple(ds), _suffix=suffix, _k0=k0,
+                         _j_at_zero=float(spec.weight(0.0)),
+                         _linear_shortcut=shortcut)
 
 
 def a_kernel_hat(sample, spec: GLSpec, args,
@@ -297,20 +290,13 @@ def a1_hat(sample, spec: GLSpec, x: float,
            normalization: str = "combinatorial",
            cfg: Optional[LrvConfig] = None,
            cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Ahat_1(x): the empirical first Hoeffding projection of A, sharing
-    the normalization modes of hoeffding_g1_hat."""
-    xarr = as_sample(sample)
+    """Ahat_1(x): the empirical first Hoeffding projection of A o h at
+    ``x``, sharing the normalization modes of glstat.ustat.project."""
     if plugin is None:
-        plugin = build_plugin(xarr, spec, cfg, cap=cap)
-    n, m = xarr.size, spec.kernel.m
-    d1, d2 = _g1_denominators(n, m, normalization)
-    if m == 1:
-        s1 = plugin.a_of_value(eval_kernel(spec.kernel, [x]))
-    else:
-        rows = _rows_with_first(xarr, x, m)
-        s1 = float(np.sum(plugin.a_of_values(eval_kernel_rows(spec.kernel,
-                                                              rows))))
-    return s1 / d1 - plugin._a_sum_kernel_values / d2
+        plugin = build_plugin(sample, spec, cfg, cap=cap)
+    return float(project(sample, spec.kernel, transform=plugin.a_of_values,
+                         at=[x], normalization=normalization,
+                         kvs=plugin.kvs)[0])
 
 
 def a1_hat_all(sample, spec: GLSpec,
@@ -318,29 +304,11 @@ def a1_hat_all(sample, spec: GLSpec,
                normalization: str = "combinatorial",
                cfg: Optional[LrvConfig] = None,
                cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """Ahat_1 at every sample point; m = 1 and m = 2 vectorized, larger
-    m by per-point combination enumeration."""
-    x = as_sample(sample)
+    """Ahat_1 at every sample point."""
     if plugin is None:
-        plugin = build_plugin(x, spec, cfg, cap=cap)
-    n, m = x.size, spec.kernel.m
-    d1, d2 = _g1_denominators(n, m, normalization)
-    s2 = plugin._a_sum_kernel_values
-    if m == 1:
-        vals = plugin.a_of_values(eval_kernel_rows(spec.kernel, x[:, None]))
-        return vals / d1 - s2 / d2
-    if m == 2:
-        grid = np.column_stack((np.repeat(x, n), np.tile(x, n)))
-        amat = plugin.a_of_values(
-            eval_kernel_rows(spec.kernel, grid)
-        ).reshape(n, n)
-        return amat.sum(axis=1) / d1 - s2 / d2
-    out = np.empty(n)
-    for i in range(n):
-        rows = _rows_with_first(x, x[i], m)
-        out[i] = (np.sum(plugin.a_of_values(
-            eval_kernel_rows(spec.kernel, rows))) / d1 - s2 / d2)
-    return out
+        plugin = build_plugin(sample, spec, cfg, cap=cap)
+    return project(sample, spec.kernel, transform=plugin.a_of_values,
+                   normalization=normalization, kvs=plugin.kvs)
 
 
 @dataclass(frozen=True)

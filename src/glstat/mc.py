@@ -69,12 +69,12 @@ class ProcessConfig:
     def from_dict(d: dict) -> "ProcessConfig":
         eg = d.get("egarch")
         if eg is not None:
+            # an absent mean_abs_z takes the dataclass default
+            extra = ({"mean_abs_z": eg["mean_abs_z"]} if "mean_abs_z" in eg
+                     else {})
             eg = EgarchParams(alpha0=eg["alpha0"], alpha=tuple(eg["alpha"]),
                               beta=tuple(eg["beta"]), theta=eg["theta"],
-                              lam=eg["lam"],
-                              mean_abs_z=eg.get("mean_abs_z",
-                                                EgarchParams(0, (0,), (0,),
-                                                             0, 0).mean_abs_z))
+                              lam=eg["lam"], **extra)
         ga = d.get("garch")
         return ProcessConfig(
             kind=d["kind"], rho=d.get("rho", 0.0),
@@ -168,7 +168,6 @@ class ExperimentConfig:
     seed: int = 0
     lrv: Optional[LrvConfig] = None
     ci_level: float = 0.95
-    output_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.replications < 2:
@@ -182,7 +181,6 @@ class ExperimentConfig:
             "replications": self.replications,
             "seed": self.seed,
             "ci_level": self.ci_level,
-            "output_dir": self.output_dir,
         }
         if self.lrv is not None:
             d["lrv"] = _lrv_to_dict(self.lrv)
@@ -199,7 +197,6 @@ class ExperimentConfig:
             seed=int(d.get("seed", 0)),
             lrv=_lrv_from_dict(d["lrv"]) if "lrv" in d else None,
             ci_level=float(d.get("ci_level", 0.95)),
-            output_dir=d.get("output_dir"),
         )
 
     def to_json(self) -> str:
@@ -231,7 +228,7 @@ def simulate_path(process: ProcessConfig, n: int,
     if process.kind == "ar1":
         model = InnovationModel(kind="ar1", rho=process.rho)
         return simulate_innovations(model, n, rng)
-    sim = SimConfig(n=n, burn_in=process.burn_in, seed=0)
+    sim = SimConfig(n=n, burn_in=process.burn_in)
     if process.kind == "garch11":
         model = InnovationModel(kind=process.innovation_kind, rho=process.rho)
         z = simulate_innovations(model, n + process.burn_in, rng)
@@ -272,9 +269,7 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
 def apply_estimator(est: EstimatorConfig, sample,
                     rng: Optional[np.random.Generator] = None) -> float:
     if est.name in ("gini", "gini_os"):
-        # the pairwise and order-statistic forms agree to 1e-12 (tested);
-        # the harness always takes the O(n log n) route
-        return estimator_gini(sample, form="order_statistic")
+        return estimator_gini(sample)
     if est.name == "q":
         n = np.asarray(sample).size
         if est.subsample > 0:
@@ -356,8 +351,9 @@ class ExperimentReport:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run every (estimator, n) cell; per-cell failures are recorded in
-    the report and do not abort the run."""
+    """Run every (estimator, n) cell; per-cell failures (domain errors
+    and invalid estimator options) are recorded in the report and do
+    not abort the run."""
     report = ExperimentReport(config=config)
     for est in config.estimators:
         for n in config.sample_sizes:
@@ -366,7 +362,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             report.cells[(est.label, n)] = cell
             try:
                 _run_cell(config, est, n, cell)
-            except GlstatError as exc:
+            except (GlstatError, ValueError) as exc:
                 cell.error = f"{type(exc).__name__}: {exc}"
     return report
 

@@ -9,7 +9,7 @@ identical configuration means bit-identical output on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi, sqrt
 from typing import Optional, Tuple
 
@@ -50,11 +50,10 @@ class InnovationModel:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Length, burn-in and seed of one simulated path."""
+    """Length and burn-in of one simulated path."""
 
     n: int
     burn_in: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, ceil
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,13 +80,6 @@ class KernelValueSet:
             raise ValueError(f"unknown quantile convention {convention!r}")
         return float(self.sorted_values[k - 1])
 
-    def save_csv(self, path) -> None:
-        np.savetxt(path, self.sorted_values, fmt="%.17g", header="value",
-                   comments="")
-
-    def save_binary(self, path) -> None:
-        self.sorted_values.astype("<f8").tofile(path)
-
 
 def kernel_values(sample, kernel: KernelSpec,
                   cap: int = DEFAULT_ENUM_CAP) -> KernelValueSet:
@@ -121,27 +114,12 @@ def kernel_values(sample, kernel: KernelSpec,
 
 def u_statistic(sample, kernel: KernelSpec,
                 cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Mean of the kernel over all C(n, m) index subsets.
-
-    Gini's kernel takes the O(n log n) order-statistic route; the two
-    agree to 1e-12 relative (tested).
-    """
+    """Mean of the kernel over all C(n, m) index subsets."""
     x = as_sample(sample)
     _require_n(x, kernel.m)
-    if kernel.name == "gini_abs_diff":
-        return _gini_order_statistic(x)
     if kernel.m == 1:
         return float(np.mean(eval_kernel_rows(kernel, x[:, None])))
     return float(np.mean(kernel_values(x, kernel, cap=cap).sorted_values))
-
-
-def _gini_order_statistic(x: np.ndarray) -> float:
-    n = x.size
-    if n < 2:
-        raise InsufficientDataError("Gini's mean difference needs n >= 2")
-    xs = np.sort(x)
-    i = np.arange(1, n + 1)
-    return float(2.0 / (n * (n - 1)) * np.sum((2 * i - n - 1) * xs))
 
 
 def empirical_u_cdf(sample, kernel: KernelSpec, t: float,
@@ -173,73 +151,66 @@ def _g1_denominators(n: int, m: int, normalization: str) -> Tuple[float, float]:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def hoeffding_g1_hat(sample, kernel: KernelSpec, x: float,
-                     normalization: str = "combinatorial",
-                     cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Empirical first Hoeffding kernel at ``x``.
+# rows (point, tail...) evaluated per chunk of project()
+_PROJECT_ROWS = 1 << 16
 
-    ghat_1(x) = (1/d1) sum over i_1<...<i_{m-1} of h(x, X_{i_1..i_{m-1}})
-              - (1/d2) sum over i_1<...<i_m of h(X_{i_1..i_m})
+
+def project(sample, kernel: KernelSpec,
+            transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+            at=None, normalization: str = "combinatorial",
+            kvs: Optional[KernelValueSet] = None,
+            cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """Empirical first Hoeffding projection of f = transform(h) at the
+    points ``at`` (default: every sample point).
+
+    f_1(x) = (1/d1) sum over i_1<...<i_{m-1} of f(x, X_{i_1..i_{m-1}})
+           - (1/d2) sum over i_1<...<i_m of f(X_{i_1..i_m})
 
     ``combinatorial`` divides by the true subset counts C(n, m-1) and
     C(n, m); ``paper_literal`` divides by n^{m-1} and n^m.  The inner
     sums run over the full sample and do not exclude any index whose
-    value equals x.
-    """
-    xarr = as_sample(sample)
-    n, m = xarr.size, kernel.m
-    _require_n(xarr, m)
-    d1, d2 = _g1_denominators(n, m, normalization)
-    if m == 1:
-        s1 = float(kernel.eval_one(np.array([x])))
-    else:
-        rows = _rows_with_first(xarr, x, m)
-        s1 = float(np.sum(eval_kernel_rows(kernel, rows)))
-    s2 = float(np.sum(kernel_values(xarr, kernel, cap=cap).sorted_values))
-    return s1 / d1 - s2 / d2
-
-
-def _rows_with_first(x: np.ndarray, first: float, m: int) -> np.ndarray:
-    """All rows (first, X_{i_1}, ..., X_{i_{m-1}}) with i_1 < ... < i_{m-1}."""
-    n = x.size
-    k = m - 1
-    count = comb(n, k)
-    tail = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(x, k)),
-        dtype=float, count=count * k,
-    ).reshape(count, k)
-    return np.column_stack((np.full(count, first), tail))
-
-
-def g1_hat_all(sample, kernel: KernelSpec,
-               normalization: str = "combinatorial",
-               cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """ghat_1 evaluated at every sample point, vectorized.
-
-    m = 1 and m = 2 run in O(n) / O(n^2); larger m falls back to full
-    combination enumeration per point.
+    value equals x.  ``kvs`` reuses the sample's sorted kernel values.
     """
     x = as_sample(sample)
     n, m = x.size, kernel.m
     _require_n(x, m)
     d1, d2 = _g1_denominators(n, m, normalization)
-    if m == 1:
-        vals = eval_kernel_rows(kernel, x[:, None])
-        return vals / d1 - np.sum(vals) / d2
-    if m == 2:
-        grid = np.column_stack(
-            (np.repeat(x, n), np.tile(x, n))
-        )
-        hmat = eval_kernel_rows(kernel, grid).reshape(n, n)
-        s1 = hmat.sum(axis=1)
-        s2 = np.sum(kernel_values(x, kernel, cap=cap).sorted_values)
-        return s1 / d1 - s2 / d2
-    s2 = np.sum(kernel_values(x, kernel, cap=cap).sorted_values)
-    out = np.empty(n)
-    for i in range(n):
-        rows = _rows_with_first(x, x[i], m)
-        out[i] = np.sum(eval_kernel_rows(kernel, rows)) / d1 - s2 / d2
-    return out
+    f = transform or (lambda v: v)
+    if kvs is None:
+        kvs = kernel_values(x, kernel, cap=cap)
+    pts = x if at is None else as_sample(at)
+    # the C(n, m-1) tails, enumerated once in lexicographic index order
+    T = comb(n, m - 1)
+    tails = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(x, m - 1)),
+        dtype=float, count=T * (m - 1),
+    ).reshape(T, m - 1)
+    step = max(1, _PROJECT_ROWS // T)
+    s1 = np.empty(pts.size)
+    for lo in range(0, pts.size, step):
+        chunk = pts[lo:lo + step]
+        k = chunk.size
+        rows = np.empty((k, T, m))
+        rows[:, :, 0] = chunk[:, None]
+        rows[:, :, 1:] = tails
+        vals = f(eval_kernel_rows(kernel, rows.reshape(k * T, m)))
+        s1[lo:lo + k] = vals.reshape(k, T).sum(axis=1)
+    return s1 / d1 - np.sum(f(kvs.sorted_values)) / d2
+
+
+def hoeffding_g1_hat(sample, kernel: KernelSpec, x: float,
+                     normalization: str = "combinatorial",
+                     cap: int = DEFAULT_ENUM_CAP) -> float:
+    """Empirical first Hoeffding kernel ghat_1 at ``x``; see project."""
+    return float(project(sample, kernel, at=[x], normalization=normalization,
+                         cap=cap)[0])
+
+
+def g1_hat_all(sample, kernel: KernelSpec,
+               normalization: str = "combinatorial",
+               cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """ghat_1 evaluated at every sample point; see project."""
+    return project(sample, kernel, normalization=normalization, cap=cap)
 
 
 # --- population Hoeffding decomposition (finite support, oracle) ----------

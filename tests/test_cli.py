@@ -28,6 +28,22 @@ def test_estimate_gini(three_csv, capsys):
     assert capsys.readouterr().out.strip() == "1.3333333333333333"
 
 
+@pytest.mark.parametrize("name", ["gini", "gini_os"])
+def test_estimate_gini_at_study_size(tmp_path, capsys, name):
+    # C(15000, 2) pairs would exceed the enumeration cap; both names take
+    # the order-statistic route
+    x = np.random.default_rng(113).standard_normal(15000)
+    p = tmp_path / "g.csv"
+    p.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x))
+    assert run_cli(["estimate", "--estimator", name, "--input", str(p)]) == 0
+    # prefix sums over the sorted sample: sum over j of
+    # (j x_(j) - sum_{i<j} x_(i)), over the number of pairs
+    xs = np.sort(x)
+    below = np.concatenate(([0.0], np.cumsum(xs)[:-1]))
+    want = np.sum(np.arange(xs.size) * xs - below) / (15000 * 14999 / 2)
+    assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-9)
+
+
 def test_estimate_lms(tmp_path, capsys):
     p = tmp_path / "s.csv"
     p.write_text("0.0\n1.0\n3.0\n")

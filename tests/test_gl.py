@@ -96,8 +96,8 @@ def test_gini_forms_agree():
     rng = np.random.default_rng(29)
     for n in (2, 3, 50, 500):
         x = rng.standard_normal(n)
-        assert estimator_gini(x, form="order_statistic") == pytest.approx(
-            estimator_gini(x, form="pairwise"), rel=1e-13)
+        assert estimator_gini(x) == pytest.approx(
+            u_statistic(x, builtin_kernel("gini_abs_diff")), rel=1e-13)
 
 
 def test_scale_equivariance():

@@ -10,9 +10,11 @@ from glstat import (
     a1_hat,
     a1_hat_all,
     a_kernel_hat,
+    build_plugin,
     builtin_kernel,
     default_bandwidth,
     density_at_uquantile,
+    estimator_q,
     g1_hat_all,
     gini_gl_spec,
     gl_confidence_interval,
@@ -135,6 +137,24 @@ def test_a1_hat_pointwise_matches_vectorized():
     fast = a1_hat_all(x, spec)
     slow = np.array([a1_hat(x, spec, v) for v in x])
     np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+def test_plugin_centred_at_the_estimate_quantile():
+    # alpha * C(31, 2) = 232.5 is not an integer, so the ceil and the
+    # floor-bracket quantiles differ; xi_hat and the density must sit at
+    # the floor-bracket estimate Q itself
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(31)
+    spec = q_gl_spec(m=2)
+    plugin = build_plugin(x, spec)
+    kvs = plugin.kvs
+    q = gl_statistic(x, spec)
+    assert q == estimator_q(x, m=2)
+    assert kvs.quantile(0.5) != q
+    assert plugin.quantiles == (q,)
+    delta = 0.5 * (kvs.quantile(0.75) - kvs.quantile(0.25)) * 31 ** (-0.2)
+    dens = (kvs.cdf(q + delta) - kvs.cdf(q - delta)) / (2.0 * delta)
+    assert plugin.densities == (pytest.approx(dens, rel=1e-15),)
 
 
 def test_lrv_gl_scaling_for_gini():

@@ -134,6 +134,15 @@ def test_config_json_round_trip(tmp_path):
     assert load_config(p).to_json() == text
 
 
+def test_config_with_output_dir_key_loads(tmp_path):
+    # configs written before output_dir was dropped still load
+    d = small_config().to_dict()
+    assert "output_dir" not in d
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(dict(d, output_dir="old_reports")))
+    assert load_config(p) == small_config()
+
+
 def test_run_experiment_small():
     report = run_experiment(small_config())
     assert set(report.cells) == {("gini", 30), ("gini", 60),
@@ -162,6 +171,17 @@ def test_cells_are_independent_of_other_cells():
         estimators=(EstimatorConfig(name="gini"),), sample_sizes=(60,)))
     np.testing.assert_array_equal(full.cells[("gini", 60)].estimates,
                                   only_gini.cells[("gini", 60)].estimates)
+
+
+def test_invalid_estimator_option_is_a_cell_error():
+    # C needs alpha < 0.5; the default 0.5 fails its own cell only
+    report = run_experiment(small_config(
+        estimators=(EstimatorConfig(name="gini"), EstimatorConfig(name="c")),
+        sample_sizes=(40,), replications=5))
+    gini, c = report.cells[("gini", 40)], report.cells[("c", 40)]
+    assert gini.error is None and gini.estimates.shape == (5,)
+    assert c.estimates is None
+    assert c.error.startswith("ValueError: alpha must be in (0, 0.5)")
 
 
 def test_coverage_computed_for_gini_with_lrv():

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -7,19 +8,27 @@ import pytest
 from glstat import (
     CapacityError,
     InsufficientDataError,
+    a1_hat_all,
+    a_kernel_hat,
+    build_plugin,
     builtin_kernel,
+    custom_kernel,
     empirical_cdf,
     empirical_u_cdf,
     eval_kernel,
     g1_hat_all,
+    gini_gl_spec,
     hoeffding_decompose_population,
     hoeffding_g1_hat,
     kernel_values,
+    q_gl_spec,
     u_quantile,
     u_statistic,
 )
+from glstat import ustat
 
 GINI = builtin_kernel("gini_abs_diff")
+IDENTITY = builtin_kernel("identity")
 MINP3 = builtin_kernel("min_pairwise", {"m": 3})
 
 
@@ -51,6 +60,16 @@ def test_gini_fast_path_matches_pairwise_enumeration():
     for n in (2, 3, 17, 200):
         x = rng.standard_normal(n)
         assert u_statistic(x, GINI) == pytest.approx(brute_u(x, GINI), rel=1e-12)
+
+
+def test_u_statistic_ignores_kernel_name():
+    # a custom kernel that reuses the Gini name is still averaged as itself
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(30)
+    sq = custom_kernel("gini_abs_diff", 2, lambda a: (a[0] - a[1]) ** 2)
+    assert u_statistic(x, sq) == pytest.approx(brute_u(x, sq), rel=1e-13)
+    assert u_statistic(x, sq) == pytest.approx(2.0 * np.var(x, ddof=1),
+                                               rel=1e-13)
 
 
 def test_identity_kernel_is_sample_mean():
@@ -103,27 +122,46 @@ def test_g1_hat_examples():
         -1.0 / 3.0, abs=1e-15)
 
 
-def brute_g1(sample, kernel, x, normalization):
-    # same subset sums either way; only the divisors differ
+def brute_g1(sample, m, f, x, normalization):
+    # projection of f (a function of an m-list); same subset sums either
+    # way, only the divisors differ
     xs = np.asarray(sample, dtype=float)
-    n, m = xs.size, kernel.m
-    inner = sum(eval_kernel(kernel, [x] + list(c))
-                for c in itertools.combinations(xs, m - 1))
-    total = sum(eval_kernel(kernel, list(c))
-                for c in itertools.combinations(xs, m))
+    n = xs.size
+    inner = sum(f([x] + list(c)) for c in itertools.combinations(xs, m - 1))
+    total = sum(f(list(c)) for c in itertools.combinations(xs, m))
     if normalization == "paper_literal":
         return inner / n ** (m - 1) - total / n ** m
     return inner / comb(n, m - 1) - total / comb(n, m)
 
 
-def test_g1_hat_matches_brute_force_small():
+def test_g1_hat_matches_brute_force_small(monkeypatch):
+    # a 20-row budget splits the points into chunks, the last one short
+    monkeypatch.setattr(ustat, "_PROJECT_ROWS", 20)
     rng = np.random.default_rng(13)
-    for kernel in (GINI, MINP3):
-        x = rng.standard_normal(7)
-        for norm in ("combinatorial", "paper_literal"):
-            fast = g1_hat_all(x, kernel, normalization=norm)
-            slow = np.array([brute_g1(x, kernel, v, norm) for v in x])
-            np.testing.assert_allclose(fast, slow, atol=1e-13)
+    ties = np.array([0.5, -1.0, 0.5, 2.0, -1.0, 0.5, 3.0])
+    norms = ("combinatorial", "paper_literal")
+    # per dimension m: random, tied, and n = m (a single kernel value)
+    inputs = {m: (rng.standard_normal(7), ties, rng.standard_normal(m))
+              for m in (1, 2, 3)}
+    for kernel in (IDENTITY, GINI, MINP3):
+        h = partial(eval_kernel, kernel)
+        for x in inputs[kernel.m]:
+            for norm in norms:
+                fast = g1_hat_all(x, kernel, normalization=norm)
+                slow = [brute_g1(x, kernel.m, h, v, norm) for v in x]
+                np.testing.assert_allclose(fast, slow, atol=1e-13)
+    # the influence kernel of the m = 2 specs on the same inputs; with a
+    # single kernel value Q has no density, so n = m is Gini's only
+    for spec in (gini_gl_spec(), q_gl_spec(m=2)):
+        for x in inputs[2]:
+            if spec.discrete and x.size == 2:
+                continue
+            plugin = build_plugin(x, spec)
+            A = partial(a_kernel_hat, x, spec, plugin=plugin)
+            for norm in norms:
+                fast = a1_hat_all(x, spec, plugin=plugin, normalization=norm)
+                slow = [brute_g1(x, 2, A, v, norm) for v in x]
+                np.testing.assert_allclose(fast, slow, atol=1e-13)
 
 
 def test_g1_hat_all_consistent_with_pointwise():
