@@ -17,12 +17,13 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import InsufficientDataError
-from .kernels import KernelSpec, builtin_kernel
+from .kernels import GINI_ABS_DIFF, KernelSpec, builtin_kernel
 from .ustat import (
     DEFAULT_ENUM_CAP,
     KernelValueSet,
     as_sample,
     kernel_values,
+    u_statistic,
 )
 
 # ascending polynomial coefficients per piece: (lo, hi, (c0, c1, ...))
@@ -135,14 +136,24 @@ class GLSpec:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"discrete quantile level {p} not in (0, 1)")
 
+    @property
+    def linear_constant(self) -> Optional[float]:
+        """c if the spec is linear, T(H_n) = c * U_n: J == c on all of
+        [0, 1] and no discrete part.  Linear specs never need H_n."""
+        return None if self.discrete else self.weight.constant_value
+
 
 def gl_statistic(sample, spec: GLSpec, cap: int = DEFAULT_ENUM_CAP,
                  kvs: Optional[KernelValueSet] = None) -> float:
     """Evaluate T(H_n) in its exact discretized form.
 
+    A linear spec is c * u_statistic, without H_n.  For the others,
     ``kvs`` may be supplied to reuse already-materialized kernel values.
     """
     x = as_sample(sample)
+    c = spec.linear_constant
+    if c is not None:
+        return c * u_statistic(x, spec.kernel, cap=cap)
     if kvs is None:
         kvs = kernel_values(x, spec.kernel, cap=cap)
     v = kvs.sorted_values
@@ -161,16 +172,11 @@ def gl_statistic(sample, spec: GLSpec, cap: int = DEFAULT_ENUM_CAP,
 
 def estimator_gini(sample) -> float:
     """Gini's mean difference, the U-statistic of |x - y|, by the
-    O(n log n) order-statistic identity
-
-        2 / (n (n - 1)) * sum_i (2 i - n - 1) X_(i).
-    """
+    O(n log n) order-statistic identity of u_statistic."""
     x = as_sample(sample)
-    n = x.size
-    if n < 2:
+    if x.size < 2:
         raise InsufficientDataError("Gini's mean difference needs n >= 2")
-    i = np.arange(1, n + 1)
-    return float(2.0 / (n * (n - 1)) * np.sum((2 * i - n - 1) * np.sort(x)))
+    return u_statistic(x, GINI_ABS_DIFF)
 
 
 def estimator_q(sample, m: int = 3, alpha: float = 0.5,
@@ -229,7 +235,7 @@ def lms_constant() -> float:
 
 def gini_gl_spec() -> GLSpec:
     """GL form of Gini's mean difference: |x - y| kernel, J == 1, d = 0."""
-    return GLSpec(kernel=builtin_kernel("gini_abs_diff"),
+    return GLSpec(kernel=GINI_ABS_DIFF,
                   weight=WeightFunctionJ.constant(1.0))
 
 

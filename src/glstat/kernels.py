@@ -77,20 +77,25 @@ def _min_pairwise_rows(rows: np.ndarray) -> np.ndarray:
     return np.min(np.diff(s, axis=1), axis=1)
 
 
+# one shared instance, so that closed forms can recognize it by identity
+GINI_ABS_DIFF = KernelSpec(
+    name="gini_abs_diff",
+    m=2,
+    eval_one=lambda a: abs(a[0] - a[1]),
+    eval_rows=lambda r: np.abs(r[:, 0] - r[:, 1]),
+)
+
+
 def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> KernelSpec:
     """Construct a built-in kernel by name.
 
     ``min_pairwise`` and ``range`` take the dimension via ``params['m']``
     (default 3 for min_pairwise, required >= 2 for both).
+    ``gini_abs_diff`` always returns the shared ``GINI_ABS_DIFF``.
     """
     params = dict(params or {})
     if name == "gini_abs_diff":
-        return KernelSpec(
-            name=name,
-            m=2,
-            eval_one=lambda a: abs(a[0] - a[1]),
-            eval_rows=lambda r: np.abs(r[:, 0] - r[:, 1]),
-        )
+        return GINI_ABS_DIFF
     if name == "identity":
         return KernelSpec(
             name=name,

@@ -13,13 +13,15 @@ influence kernel
                 + sum_i a_i (p_i - 1[h <= xi_hat_{p_i}]) / hhat(xi_hat_{p_i}).
 
 Because H_n is a step function, the integral term is a finite sum over
-sorted kernel values and is computed exactly (no quadrature).
+sorted kernel values and is computed exactly (no quadrature).  For a
+linear spec (J == c, no discrete part) A(v) = c (v - U_n), so Ahat_1
+needs only U_n and the kernel's own inner sums, and H_n is never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import comb, sqrt
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -33,10 +35,13 @@ from .kernels import KernelSpec, eval_kernel, eval_kernel_rows  # noqa: F401
 from .ustat import (
     DEFAULT_ENUM_CAP,
     KernelValueSet,
+    _g1_denominators,
     as_sample,
     g1_hat_all,
     kernel_values,
     project,
+    tail_sums,
+    u_statistic,
 )
 
 
@@ -195,10 +200,11 @@ def density_at_uquantile(sample, kernel: KernelSpec, p: float,
 @dataclass(frozen=True)
 class PluginContext:
     """Precomputed empirical surrogates for the influence kernel A:
-    sorted kernel values (for H_n), plug-in quantiles xi_hat_{p_i},
-    density estimates there, and the tabulated integral term."""
+    sorted kernel values (for H_n; None for a linear spec), plug-in
+    quantiles xi_hat_{p_i}, density estimates there, and the tabulated
+    integral term."""
 
-    kvs: KernelValueSet
+    kvs: Optional[KernelValueSet]
     spec: GLSpec
     quantiles: Tuple[float, ...]
     densities: Tuple[float, ...]
@@ -207,7 +213,7 @@ class PluginContext:
     _k0: float
     _j_at_zero: float
     # when J == c is constant the integral term collapses to
-    # c * (v - mean(kernel values)); (c, mean) or None
+    # c * (v - U_n); (c, U_n) or None
     _linear_shortcut: Optional[Tuple[float, float]] = None
 
     def a_of_values(self, v: np.ndarray) -> np.ndarray:
@@ -238,23 +244,37 @@ class PluginContext:
 def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
                  cap: int = DEFAULT_ENUM_CAP,
                  kvs: Optional[KernelValueSet] = None) -> PluginContext:
-    """Materialize every empirical surrogate A needs."""
+    """Materialize every empirical surrogate A needs.
+
+    A linear spec (``spec.linear_constant``) needs only U_n, so neither
+    ``kvs`` nor H_n is used; ``cap`` bounds enumeration only, which the
+    built-in Gini kernel never needs.
+    """
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
+    c = spec.linear_constant
+    if c is not None:
+        # A(v) = c (v - U_n): no H_n, quantiles or densities
+        return PluginContext(
+            kvs=None, spec=spec, quantiles=(), densities=(),
+            _suffix=np.zeros(0), _k0=0.0, _j_at_zero=c,
+            _linear_shortcut=(c, u_statistic(x, spec.kernel, cap=cap)))
     if kvs is None:
         kvs = kernel_values(x, spec.kernel, cap=cap)
     w = kvs.sorted_values
     N = w.size
     shortcut = None
     cval = spec.weight.constant_value
-    if cval is not None and not spec.weight.is_zero:
+    if cval is not None:
         shortcut = (cval, float(np.mean(w)))
         suffix = np.zeros(0)
         k0 = 0.0
-    elif spec.weight.is_zero or N < 2:
+    elif spec.weight.is_zero:
         suffix = np.zeros(0)
         k0 = 0.0
     else:
+        # N = 1 still gets a (zero) suffix, so that a_of_values keeps
+        # the J(0) term below the single kernel value
         k = np.arange(1, N)
         c = np.diff(w) * spec.weight.eval_many(k / N)
         k0 = float(np.dot(k / N, c))
@@ -285,6 +305,23 @@ def a_kernel_hat(sample, spec: GLSpec, args,
     return plugin.a_of_value(eval_kernel(spec.kernel, args))
 
 
+def _project_a(sample, spec: GLSpec, plugin: PluginContext, at,
+               normalization: str) -> np.ndarray:
+    """Ahat_1 at the points ``at`` (None: every sample point)."""
+    if spec.linear_constant is not None:
+        # A = c (h - U_n), so the outer sum vanishes in either
+        # normalization: Ahat_1 = c (S - C(n, m-1) U_n) / d1
+        c, u = plugin._linear_shortcut
+        x = as_sample(sample)
+        n, m = x.size, spec.kernel.m
+        d1, _ = _g1_denominators(n, m, normalization)
+        pts = x if at is None else as_sample(at)
+        return c * (tail_sums(x, spec.kernel, None, pts)
+                    - comb(n, m - 1) * u) / d1
+    return project(sample, spec.kernel, transform=plugin.a_of_values,
+                   at=at, normalization=normalization, kvs=plugin.kvs)
+
+
 def a1_hat(sample, spec: GLSpec, x: float,
            plugin: Optional[PluginContext] = None,
            normalization: str = "combinatorial",
@@ -294,9 +331,7 @@ def a1_hat(sample, spec: GLSpec, x: float,
     ``x``, sharing the normalization modes of glstat.ustat.project."""
     if plugin is None:
         plugin = build_plugin(sample, spec, cfg, cap=cap)
-    return float(project(sample, spec.kernel, transform=plugin.a_of_values,
-                         at=[x], normalization=normalization,
-                         kvs=plugin.kvs)[0])
+    return float(_project_a(sample, spec, plugin, [x], normalization)[0])
 
 
 def a1_hat_all(sample, spec: GLSpec,
@@ -307,8 +342,7 @@ def a1_hat_all(sample, spec: GLSpec,
     """Ahat_1 at every sample point."""
     if plugin is None:
         plugin = build_plugin(sample, spec, cfg, cap=cap)
-    return project(sample, spec.kernel, transform=plugin.a_of_values,
-                   normalization=normalization, kvs=plugin.kvs)
+    return _project_a(sample, spec, plugin, None, normalization)
 
 
 @dataclass(frozen=True)
@@ -330,7 +364,11 @@ class GLVarianceReport:
 def lrv_gl(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
            cap: int = DEFAULT_ENUM_CAP,
            plugin: Optional[PluginContext] = None) -> GLVarianceReport:
-    """Long-run variance of a GL-statistic via Ahat_1."""
+    """Long-run variance of a GL-statistic via Ahat_1.
+
+    ``cap`` bounds enumeration only: a linear spec with the built-in
+    Gini kernel runs in O(n log n) at any n.
+    """
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
     if plugin is None:
@@ -357,7 +395,11 @@ def gl_confidence_interval(sample, spec: GLSpec,
                            cfg: Optional[LrvConfig] = None,
                            level: float = 0.95,
                            cap: int = DEFAULT_ENUM_CAP) -> Tuple[float, float]:
-    """CLT interval T(H_n) +/- z_{(1+level)/2} * m * sigma_hat_GL / sqrt(n)."""
+    """CLT interval T(H_n) +/- z_{(1+level)/2} * m * sigma_hat_GL / sqrt(n).
+
+    ``cap`` bounds enumeration only: a linear spec with the built-in
+    Gini kernel (``gini_gl_spec()``) runs in O(n log n) at any n.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     cfg = cfg or LrvConfig()

@@ -2,8 +2,9 @@
 empirical first Hoeffding projection.
 
 All operations enumerate the C(n, m) index subsets exactly (subject to a
-capacity cap); subsampled variants live in :mod:`glstat.mc` where seeds
-are managed.
+capacity cap), except that the U-statistic and the projection of the
+built-in Gini kernel come from the sorted sample in O(n log n);
+subsampled variants live in :mod:`glstat.mc` where seeds are managed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityError, InsufficientDataError
-from .kernels import KernelSpec, eval_kernel_rows
+from .kernels import GINI_ABS_DIFF, KernelSpec, eval_kernel_rows
 
 DEFAULT_ENUM_CAP = 10 ** 8
 
@@ -81,14 +82,11 @@ class KernelValueSet:
         return float(self.sorted_values[k - 1])
 
 
-def kernel_values(sample, kernel: KernelSpec,
-                  cap: int = DEFAULT_ENUM_CAP) -> KernelValueSet:
-    """Materialize all C(n, m) kernel evaluations, sorted.
+def _enumerate(x: np.ndarray, kernel: KernelSpec, cap: int) -> np.ndarray:
+    """The C(n, m) kernel values of a validated sample, unsorted.
 
-    Raises CapacityError when the enumeration would exceed ``cap``; for
-    large n use the subsampled mode of the Monte Carlo harness instead.
+    Raises CapacityError when the enumeration would exceed ``cap``.
     """
-    x = as_sample(sample)
     n, m = x.size, kernel.m
     _require_n(x, m)
     N = comb(n, m)
@@ -98,28 +96,46 @@ def kernel_values(sample, kernel: KernelSpec,
             "use subsampling (glstat.mc) or a closed-form fast path"
         )
     if m == 1:
-        vals = eval_kernel_rows(kernel, x[:, None])
-    elif m == 2:
+        return eval_kernel_rows(kernel, x[:, None])
+    if m == 2:
         iu, ju = np.triu_indices(n, k=1)
-        vals = eval_kernel_rows(kernel, np.column_stack((x[iu], x[ju])))
-    else:
-        rows = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(x, m)),
-            dtype=float, count=N * m,
-        ).reshape(N, m)
-        vals = eval_kernel_rows(kernel, rows)
-    vals = np.sort(vals)
-    return KernelValueSet(sorted_values=vals, n=n, m=m)
+        return eval_kernel_rows(kernel, np.column_stack((x[iu], x[ju])))
+    rows = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(x, m)),
+        dtype=float, count=N * m,
+    ).reshape(N, m)
+    return eval_kernel_rows(kernel, rows)
+
+
+def kernel_values(sample, kernel: KernelSpec,
+                  cap: int = DEFAULT_ENUM_CAP) -> KernelValueSet:
+    """Materialize all C(n, m) kernel evaluations, sorted.
+
+    Raises CapacityError when the enumeration would exceed ``cap``; for
+    large n use the subsampled mode of the Monte Carlo harness instead.
+    """
+    x = as_sample(sample)
+    return KernelValueSet(sorted_values=np.sort(_enumerate(x, kernel, cap)),
+                          n=x.size, m=kernel.m)
 
 
 def u_statistic(sample, kernel: KernelSpec,
                 cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Mean of the kernel over all C(n, m) index subsets."""
+    """Mean of the kernel over all C(n, m) index subsets.
+
+    For ``GINI_ABS_DIFF`` (by identity, not by name) this is the
+    O(n log n) order-statistic identity
+
+        2 / (n (n - 1)) * sum_i (2 i - n - 1) X_(i).
+    """
     x = as_sample(sample)
     _require_n(x, kernel.m)
-    if kernel.m == 1:
-        return float(np.mean(eval_kernel_rows(kernel, x[:, None])))
-    return float(np.mean(kernel_values(x, kernel, cap=cap).sorted_values))
+    if kernel is GINI_ABS_DIFF:
+        n = x.size
+        i = np.arange(1, n + 1)
+        return float(2.0 / (n * (n - 1))
+                     * np.sum((2 * i - n - 1) * np.sort(x)))
+    return float(np.mean(_enumerate(x, kernel, cap)))
 
 
 def empirical_u_cdf(sample, kernel: KernelSpec, t: float,
@@ -155,6 +171,49 @@ def _g1_denominators(n: int, m: int, normalization: str) -> Tuple[float, float]:
 _PROJECT_ROWS = 1 << 16
 
 
+def tail_sums(x: np.ndarray, kernel: KernelSpec,
+              transform: Optional[Callable[[np.ndarray], np.ndarray]],
+              pts: np.ndarray) -> np.ndarray:
+    """S(a) = sum over i_1<...<i_{m-1} of f(h(a, X_{i_1..i_{m-1}})) for
+    every a in ``pts``, with f = transform (identity when None) and x a
+    validated sample.
+
+    For ``GINI_ABS_DIFF`` without a transform, S(a) = sum_j |a - X_j|
+    comes from prefix sums over the sorted sample.
+    """
+    n, m = x.size, kernel.m
+    if kernel is GINI_ABS_DIFF and transform is None:
+        xs = np.sort(x)
+        # shifted by the median, so that the prefix sums stay small when
+        # the sample sits far from zero
+        ys = xs - xs[n // 2]
+        a = pts - xs[n // 2]
+        pre = np.concatenate(([0.0], np.cumsum(ys)))
+        k = np.searchsorted(ys, a, side="right")  # #{j : X_j <= a}
+        return a * (2 * k - n) + pre[n] - 2.0 * pre[k]
+    f = transform or (lambda v: v)
+    # the C(n, m-1) tails, enumerated once in lexicographic index order;
+    # m = 1 has one empty tail, and combinations() would still copy the
+    # whole sample into a tuple of scalars to find it
+    T = comb(n, m - 1)
+    tails = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(x if m > 1 else (), m - 1)),
+        dtype=float, count=T * (m - 1),
+    ).reshape(T, m - 1)
+    step = max(1, _PROJECT_ROWS // T)
+    s1 = np.empty(pts.size)
+    for lo in range(0, pts.size, step):
+        chunk = pts[lo:lo + step]
+        k = chunk.size
+        rows = np.empty((k, T, m))
+        rows[:, :, 0] = chunk[:, None]
+        rows[:, :, 1:] = tails
+        vals = f(eval_kernel_rows(kernel, rows.reshape(k * T, m)))
+        s1[lo:lo + k] = vals.reshape(k, T).sum(axis=1)
+    return s1
+
+
 def project(sample, kernel: KernelSpec,
             transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
             at=None, normalization: str = "combinatorial",
@@ -170,32 +229,23 @@ def project(sample, kernel: KernelSpec,
     C(n, m); ``paper_literal`` divides by n^{m-1} and n^m.  The inner
     sums run over the full sample and do not exclude any index whose
     value equals x.  ``kvs`` reuses the sample's sorted kernel values.
+
+    For ``GINI_ABS_DIFF`` without a transform, the inner sums come from
+    prefix sums (see tail_sums) and the outer sum is C(n, 2) U_n: no
+    kernel value is enumerated.
     """
     x = as_sample(sample)
     n, m = x.size, kernel.m
     _require_n(x, m)
     d1, d2 = _g1_denominators(n, m, normalization)
-    f = transform or (lambda v: v)
-    if kvs is None:
-        kvs = kernel_values(x, kernel, cap=cap)
     pts = x if at is None else as_sample(at)
-    # the C(n, m-1) tails, enumerated once in lexicographic index order
-    T = comb(n, m - 1)
-    tails = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(x, m - 1)),
-        dtype=float, count=T * (m - 1),
-    ).reshape(T, m - 1)
-    step = max(1, _PROJECT_ROWS // T)
-    s1 = np.empty(pts.size)
-    for lo in range(0, pts.size, step):
-        chunk = pts[lo:lo + step]
-        k = chunk.size
-        rows = np.empty((k, T, m))
-        rows[:, :, 0] = chunk[:, None]
-        rows[:, :, 1:] = tails
-        vals = f(eval_kernel_rows(kernel, rows.reshape(k * T, m)))
-        s1[lo:lo + k] = vals.reshape(k, T).sum(axis=1)
-    return s1 / d1 - np.sum(f(kvs.sorted_values)) / d2
+    if kernel is GINI_ABS_DIFF and transform is None:
+        total = comb(n, 2) * u_statistic(x, kernel)
+    else:
+        f = transform or (lambda v: v)
+        total = np.sum(f(_enumerate(x, kernel, cap) if kvs is None
+                         else kvs.sorted_values))
+    return tail_sums(x, kernel, transform, pts) / d1 - total / d2
 
 
 def hoeffding_g1_hat(sample, kernel: KernelSpec, x: float,

@@ -30,9 +30,10 @@ def test_estimate_gini(three_csv, capsys):
 
 @pytest.mark.parametrize("name", ["gini", "gini_os"])
 def test_estimate_gini_at_study_size(tmp_path, capsys, name):
-    # C(15000, 2) pairs would exceed the enumeration cap; both names take
-    # the order-statistic route
-    x = np.random.default_rng(113).standard_normal(15000)
+    # C(15000, 2) pairs would exceed the enumeration cap; estimate, lrv
+    # and ci all take the O(n log n) route under both names
+    n = 15000
+    x = np.random.default_rng(113).standard_normal(n)
     p = tmp_path / "g.csv"
     p.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x))
     assert run_cli(["estimate", "--estimator", name, "--input", str(p)]) == 0
@@ -40,8 +41,27 @@ def test_estimate_gini_at_study_size(tmp_path, capsys, name):
     # (j x_(j) - sum_{i<j} x_(i)), over the number of pairs
     xs = np.sort(x)
     below = np.concatenate(([0.0], np.cumsum(xs)[:-1]))
-    want = np.sum(np.arange(xs.size) * xs - below) / (15000 * 14999 / 2)
+    want = np.sum(np.arange(n) * xs - below) / (n * (n - 1) / 2)
     assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-9)
+    # A1(x_i) = (1/n) sum_j |x_i - x_j| - U, from the same prefix sums,
+    # put back in time order
+    j = np.arange(n)
+    above = np.sum(xs) - below - xs
+    a1 = np.empty(n)
+    a1[np.argsort(x)] = (j * xs - below + above - (n - 1 - j) * xs) / n - want
+    b = 24  # floor(15000^(1/3))
+    sigma2 = np.dot(a1, a1) / n
+    for r in range(1, b):
+        sigma2 += 2.0 * (1.0 - r / b) * np.dot(a1[:-r], a1[r:]) / n
+    assert run_cli(["lrv", "--estimator", name, "--input", str(p)]) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    assert float(fields["sigma2_gl"]) == pytest.approx(sigma2, rel=1e-9)
+    assert float(fields["bandwidth"]) == b
+    assert run_cli(["ci", "--estimator", name, "--input", str(p)]) == 0
+    lo, hi = map(float, capsys.readouterr().out.split(","))
+    half = 1.959963984540054 * 2.0 * np.sqrt(sigma2 / n)
+    assert lo == pytest.approx(want - half, rel=1e-9)
+    assert hi == pytest.approx(want + half, rel=1e-9)
 
 
 def test_estimate_lms(tmp_path, capsys):

@@ -7,7 +7,9 @@ import pytest
 
 from glstat import (
     CapacityError,
+    GLSpec,
     InsufficientDataError,
+    WeightFunctionJ,
     a1_hat_all,
     a_kernel_hat,
     build_plugin,
@@ -150,17 +152,19 @@ def test_g1_hat_matches_brute_force_small(monkeypatch):
                 fast = g1_hat_all(x, kernel, normalization=norm)
                 slow = [brute_g1(x, kernel.m, h, v, norm) for v in x]
                 np.testing.assert_allclose(fast, slow, atol=1e-13)
-    # the influence kernel of the m = 2 specs on the same inputs; with a
+    # the influence kernel of the m = 2 specs and of a linear m = 3 spec
+    # (J == 2, whose two normalizations differ) on the same inputs; with a
     # single kernel value Q has no density, so n = m is Gini's only
-    for spec in (gini_gl_spec(), q_gl_spec(m=2)):
-        for x in inputs[2]:
+    linear3 = GLSpec(kernel=MINP3, weight=WeightFunctionJ.constant(2.0))
+    for spec in (gini_gl_spec(), q_gl_spec(m=2), linear3):
+        for x in inputs[spec.kernel.m]:
             if spec.discrete and x.size == 2:
                 continue
             plugin = build_plugin(x, spec)
             A = partial(a_kernel_hat, x, spec, plugin=plugin)
             for norm in norms:
                 fast = a1_hat_all(x, spec, plugin=plugin, normalization=norm)
-                slow = [brute_g1(x, 2, A, v, norm) for v in x]
+                slow = [brute_g1(x, spec.kernel.m, A, v, norm) for v in x]
                 np.testing.assert_allclose(fast, slow, atol=1e-13)
 
 
