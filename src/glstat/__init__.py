@@ -74,6 +74,7 @@ from .processes import (
 )
 from .ustat import (
     KernelValueSet,
+    MinPairwiseCounts,
     PopulationHoeffding,
     empirical_cdf,
     empirical_u_cdf,
@@ -81,6 +82,7 @@ from .ustat import (
     hoeffding_decompose_population,
     hoeffding_g1_hat,
     kernel_values,
+    u_distribution,
     u_quantile,
     u_statistic,
 )

@@ -20,9 +20,11 @@ from .errors import InsufficientDataError
 from .kernels import GINI_ABS_DIFF, KernelSpec, builtin_kernel
 from .ustat import (
     DEFAULT_ENUM_CAP,
-    KernelValueSet,
+    UDistribution,
     as_sample,
     kernel_values,
+    u_distribution,
+    u_quantile,
     u_statistic,
 )
 
@@ -144,22 +146,25 @@ class GLSpec:
 
 
 def gl_statistic(sample, spec: GLSpec, cap: int = DEFAULT_ENUM_CAP,
-                 kvs: Optional[KernelValueSet] = None) -> float:
+                 kvs: Optional[UDistribution] = None) -> float:
     """Evaluate T(H_n) in its exact discretized form.
 
-    A linear spec is c * u_statistic, without H_n.  For the others,
-    ``kvs`` may be supplied to reuse already-materialized kernel values.
+    A linear spec is c * u_statistic, without H_n.  A spec with J == 0
+    needs only the quantiles of H_n (``u_distribution``: counted for the
+    built-in min-pairwise kernel).  ``kvs`` may be supplied to reuse an
+    already-built H_n.
     """
     x = as_sample(sample)
     c = spec.linear_constant
     if c is not None:
         return c * u_statistic(x, spec.kernel, cap=cap)
     if kvs is None:
-        kvs = kernel_values(x, spec.kernel, cap=cap)
-    v = kvs.sorted_values
-    N = v.size
+        kvs = (u_distribution(x, spec.kernel, cap=cap) if spec.weight.is_zero
+               else kernel_values(x, spec.kernel, cap=cap))
     total = 0.0
     if not spec.weight.is_zero:
+        v = kvs.sorted_values
+        N = v.size
         grid = np.arange(N + 1) / N
         weights = np.diff(spec.weight.integral_prefix(grid))
         total += float(np.dot(weights, v))
@@ -179,16 +184,15 @@ def estimator_gini(sample) -> float:
     return u_statistic(x, GINI_ABS_DIFF)
 
 
-def estimator_q(sample, m: int = 3, alpha: float = 0.5,
-                cap: int = DEFAULT_ENUM_CAP) -> float:
+def estimator_q(sample, m: int = 3, alpha: float = 0.5) -> float:
     """Q_n^alpha: the k-th smallest min-pairwise kernel value with
-    k = max(1, floor(alpha * C(n, m)))."""
+    k = max(1, floor(alpha * C(n, m))), selected by counting
+    (MinPairwiseCounts) without enumerating the C(n, m) values."""
     x = as_sample(sample)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    kern = builtin_kernel("min_pairwise", {"m": m})
-    kvs = kernel_values(x, kern, cap=cap)
-    return kvs.quantile(alpha, convention="floor_bracket")
+    return u_quantile(x, builtin_kernel("min_pairwise", {"m": m}), alpha,
+                      convention="floor_bracket")
 
 
 def estimator_c(sample, alpha: float, c_alpha: float = 1.0) -> float:

@@ -12,7 +12,7 @@ estimator in this package is parameterized by one.  Built-ins:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -85,13 +85,17 @@ GINI_ABS_DIFF = KernelSpec(
     eval_rows=lambda r: np.abs(r[:, 0] - r[:, 1]),
 )
 
+# the shared min_pairwise instance of each dimension m, filled on first use
+MIN_PAIRWISE: Dict[int, KernelSpec] = {}
+
 
 def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> KernelSpec:
     """Construct a built-in kernel by name.
 
     ``min_pairwise`` and ``range`` take the dimension via ``params['m']``
     (default 3 for min_pairwise, required >= 2 for both).
-    ``gini_abs_diff`` always returns the shared ``GINI_ABS_DIFF``.
+    ``gini_abs_diff`` always returns the shared ``GINI_ABS_DIFF``, and
+    ``min_pairwise`` the shared ``MIN_PAIRWISE[m]``.
     """
     params = dict(params or {})
     if name == "gini_abs_diff":
@@ -107,13 +111,13 @@ def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> K
         m = int(params.get("m", 3))
         if m < 2:
             raise ValueError(f"min_pairwise requires m >= 2, got {m}")
-        return KernelSpec(
+        return MIN_PAIRWISE.setdefault(m, KernelSpec(
             name=name,
             m=m,
             params={"m": m},
             eval_one=lambda a: float(np.min(np.diff(np.sort(a)))),
             eval_rows=_min_pairwise_rows,
-        )
+        ))
     if name == "range":
         m = int(params.get("m", 2))
         if m < 2:

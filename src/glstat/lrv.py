@@ -16,6 +16,9 @@ Because H_n is a step function, the integral term is a finite sum over
 sorted kernel values and is computed exactly (no quadrature).  For a
 linear spec (J == c, no discrete part) A(v) = c (v - U_n), so Ahat_1
 needs only U_n and the kernel's own inner sums, and H_n is never built.
+For J == 0 with the built-in min-pairwise kernel (Q), A depends on h
+only through 1[h <= xi_hat], so Ahat_1 comes from counts of H_n
+(MinPairwiseCounts) and no kernel value is enumerated.
 """
 
 from __future__ import annotations
@@ -34,13 +37,15 @@ from .gl import GLSpec, gl_statistic
 from .kernels import KernelSpec, eval_kernel, eval_kernel_rows  # noqa: F401
 from .ustat import (
     DEFAULT_ENUM_CAP,
-    KernelValueSet,
+    MinPairwiseCounts,
+    UDistribution,
     _g1_denominators,
     as_sample,
     g1_hat_all,
     kernel_values,
     project,
     tail_sums,
+    u_distribution,
     u_statistic,
 )
 
@@ -165,7 +170,7 @@ def lrv_ustat(sample, kernel: KernelSpec,
 def density_at_uquantile(sample, kernel: KernelSpec, p: float,
                          cfg: Optional[LrvConfig] = None,
                          cap: int = DEFAULT_ENUM_CAP,
-                         kvs: Optional[KernelValueSet] = None,
+                         kvs: Optional[UDistribution] = None,
                          convention: str = "ceil") -> float:
     """Finite-difference density of H_n at the empirical U-quantile:
 
@@ -173,14 +178,15 @@ def density_at_uquantile(sample, kernel: KernelSpec, p: float,
         d = c * IQR(kernel values) * n^(-1/5).
 
     xi_p is taken in the given quantile ``convention`` (that of the
-    estimate); the IQR always uses the ceil convention.
+    estimate); the IQR always uses the ceil convention.  H_n is
+    ``kvs`` or else ``u_distribution`` (counted for min-pairwise).
     """
     cfg = cfg or LrvConfig()
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     x = as_sample(sample)
     if kvs is None:
-        kvs = kernel_values(x, kernel, cap=cap)
+        kvs = u_distribution(x, kernel, cap=cap)
     xi = kvs.quantile(p, convention)
     iqr = kvs.quantile(0.75) - kvs.quantile(0.25)
     delta = cfg.density_halfwidth_c * iqr * x.size ** (-0.2)
@@ -200,18 +206,19 @@ def density_at_uquantile(sample, kernel: KernelSpec, p: float,
 @dataclass(frozen=True)
 class PluginContext:
     """Precomputed empirical surrogates for the influence kernel A:
-    sorted kernel values (for H_n; None for a linear spec), plug-in
-    quantiles xi_hat_{p_i}, density estimates there, and the tabulated
-    integral term."""
+    H_n (sorted kernel values, or counts for J == 0; None for a linear
+    spec), plug-in quantiles xi_hat_{p_i}, density estimates there, and
+    the tabulated integral term."""
 
-    kvs: Optional[KernelValueSet]
+    kvs: Optional[UDistribution]
     spec: GLSpec
     quantiles: Tuple[float, ...]
     densities: Tuple[float, ...]
     # suffix[r] = sum_{k >= r} (w_{k+1} - w_k) J(k/N), 1-based r
     _suffix: np.ndarray
     _k0: float
-    _j_at_zero: float
+    # J(r/N) for r = 0..N, the weight on each step of H_n
+    _j_steps: np.ndarray
     # when J == c is constant the integral term collapses to
     # c * (v - U_n); (c, U_n) or None
     _linear_shortcut: Optional[Tuple[float, float]] = None
@@ -225,13 +232,14 @@ class PluginContext:
             out += c * (v - mean_w)
         elif self._suffix.size:
             w = self.kvs.sorted_values
-            # r(v): first 1-based index k with w_k >= v
-            r = np.searchsorted(w, v, side="left") + 1
-            out -= self._suffix[np.minimum(r, self._suffix.size - 1)] - self._k0
-            if self._j_at_zero != 0.0:
-                # below the smallest kernel value H_n == 0, so the
-                # integrand is 1[v <= y] * J(0) on [v, w_1)
-                out -= self._j_at_zero * np.maximum(w[0] - v, 0.0)
+            N = w.size
+            r = np.searchsorted(w, v, side="left")  # kernel values < v
+            # the steps of H_n above w_{r+1}, whole
+            out -= self._suffix[np.minimum(r + 1, N)] - self._k0
+            # the step that holds v, where H_n == r/N: its 1[v <= y] J
+            # part on [v, w_{r+1}) (its -H_n J part is in k0); above
+            # w_N, H_n == 1 and the integrand is -J(1) on [w_N, v)
+            out -= self._j_steps[r] * (w[np.minimum(r, N - 1)] - v)
         for (a, p), xi, dens in zip(self.spec.discrete, self.quantiles,
                                     self.densities):
             out += a * (p - (v <= xi)) / dens
@@ -243,12 +251,15 @@ class PluginContext:
 
 def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
                  cap: int = DEFAULT_ENUM_CAP,
-                 kvs: Optional[KernelValueSet] = None) -> PluginContext:
+                 kvs: Optional[UDistribution] = None) -> PluginContext:
     """Materialize every empirical surrogate A needs.
 
     A linear spec (``spec.linear_constant``) needs only U_n, so neither
-    ``kvs`` nor H_n is used; ``cap`` bounds enumeration only, which the
-    built-in Gini kernel never needs.
+    ``kvs`` nor H_n is used.  A spec with J == 0 needs only quantiles
+    and H_n(t) (``u_distribution``: counted for the built-in
+    min-pairwise kernel); other specs need the sorted kernel values.
+    ``cap`` bounds enumeration only, which the built-in Gini and
+    min-pairwise kernels never need here.
     """
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
@@ -257,26 +268,25 @@ def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
         # A(v) = c (v - U_n): no H_n, quantiles or densities
         return PluginContext(
             kvs=None, spec=spec, quantiles=(), densities=(),
-            _suffix=np.zeros(0), _k0=0.0, _j_at_zero=c,
+            _suffix=np.zeros(0), _k0=0.0, _j_steps=np.zeros(0),
             _linear_shortcut=(c, u_statistic(x, spec.kernel, cap=cap)))
     if kvs is None:
-        kvs = kernel_values(x, spec.kernel, cap=cap)
-    w = kvs.sorted_values
-    N = w.size
+        kvs = (u_distribution(x, spec.kernel, cap=cap) if spec.weight.is_zero
+               else kernel_values(x, spec.kernel, cap=cap))
     shortcut = None
+    suffix = j_steps = np.zeros(0)
+    k0 = 0.0
     cval = spec.weight.constant_value
     if cval is not None:
-        shortcut = (cval, float(np.mean(w)))
-        suffix = np.zeros(0)
-        k0 = 0.0
-    elif spec.weight.is_zero:
-        suffix = np.zeros(0)
-        k0 = 0.0
-    else:
+        shortcut = (cval, float(np.mean(kvs.sorted_values)))
+    elif not spec.weight.is_zero:
         # N = 1 still gets a (zero) suffix, so that a_of_values keeps
-        # the J(0) term below the single kernel value
+        # the J(0) and J(1) terms outside the single kernel value
+        w = kvs.sorted_values
+        N = w.size
+        j_steps = spec.weight.eval_many(np.arange(N + 1) / N)
         k = np.arange(1, N)
-        c = np.diff(w) * spec.weight.eval_many(k / N)
+        c = np.diff(w) * j_steps[1:N]
         k0 = float(np.dot(k / N, c))
         # suffix[r] for r = 0..N: sum of c_k over k >= r (1-based k)
         suffix = np.zeros(N + 1)
@@ -291,8 +301,7 @@ def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
                                        kvs=kvs, convention=conv))
     return PluginContext(kvs=kvs, spec=spec, quantiles=tuple(qs),
                          densities=tuple(ds), _suffix=suffix, _k0=k0,
-                         _j_at_zero=float(spec.weight(0.0)),
-                         _linear_shortcut=shortcut)
+                         _j_steps=j_steps, _linear_shortcut=shortcut)
 
 
 def a_kernel_hat(sample, spec: GLSpec, args,
@@ -308,16 +317,27 @@ def a_kernel_hat(sample, spec: GLSpec, args,
 def _project_a(sample, spec: GLSpec, plugin: PluginContext, at,
                normalization: str) -> np.ndarray:
     """Ahat_1 at the points ``at`` (None: every sample point)."""
+    x = as_sample(sample)
+    n, m = x.size, spec.kernel.m
+    d1, d2 = _g1_denominators(n, m, normalization)
+    pts = x if at is None else as_sample(at)
     if spec.linear_constant is not None:
         # A = c (h - U_n), so the outer sum vanishes in either
         # normalization: Ahat_1 = c (S - C(n, m-1) U_n) / d1
         c, u = plugin._linear_shortcut
-        x = as_sample(sample)
-        n, m = x.size, spec.kernel.m
-        d1, _ = _g1_denominators(n, m, normalization)
-        pts = x if at is None else as_sample(at)
         return c * (tail_sums(x, spec.kernel, None, pts)
                     - comb(n, m - 1) * u) / d1
+    H = plugin.kvs
+    if isinstance(H, MinPairwiseCounts):
+        # J == 0: A(v) = sum_k a_k (p_k - 1[v <= xi_k]) / hhat_k, so the
+        # inner and outer sums of A are counts of tails and of subsets
+        tails = comb(n, m - 1)
+        out = np.zeros(pts.size)
+        for (a, p), xi, dens in zip(spec.discrete, plugin.quantiles,
+                                    plugin.densities):
+            out += a * ((p * tails - H.per_point_le(xi, pts)) / d1
+                        - (p * H.size - H.count_le(xi)) / d2) / dens
+        return out
     return project(sample, spec.kernel, transform=plugin.a_of_values,
                    at=at, normalization=normalization, kvs=plugin.kvs)
 
@@ -405,7 +425,11 @@ def gl_confidence_interval(sample, spec: GLSpec,
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
     plugin = build_plugin(x, spec, cfg, cap=cap)
-    t = gl_statistic(x, spec, cap=cap, kvs=plugin.kvs)
+    if spec.linear_constant is not None:
+        c, u = plugin._linear_shortcut  # T = c U_n, without a second U_n
+        t = c * u
+    else:
+        t = gl_statistic(x, spec, cap=cap, kvs=plugin.kvs)
     report = lrv_gl(x, spec, cfg, cap=cap, plugin=plugin)
     z = float(norm.ppf(0.5 * (1.0 + level)))
     half = z * sqrt(report.m2_sigma2_gl / x.size)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from math import comb, floor
+from math import floor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,8 +39,6 @@ from .processes import (
 
 DEFAULT_REPLICATIONS = 500
 DEFAULT_Q_SUBSAMPLE = 2_000_000
-# above this many subsets the exact Q estimator is refused inside the harness
-Q_EXACT_LIMIT = 5_000_000
 
 
 # --- configuration ---------------------------------------------------------
@@ -271,16 +269,10 @@ def apply_estimator(est: EstimatorConfig, sample,
     if est.name in ("gini", "gini_os"):
         return estimator_gini(sample)
     if est.name == "q":
-        n = np.asarray(sample).size
         if est.subsample > 0:
             if rng is None:
                 raise ValueError("subsampled Q needs an RNG")
             return q_subsampled(sample, est.m, est.alpha, est.subsample, rng)
-        if comb(n, est.m) > Q_EXACT_LIMIT:
-            raise CapacityError(
-                f"C({n},{est.m}) exceeds the exact-Q harness limit; set "
-                "subsample > 0 for the incomplete-U-statistic mode"
-            )
         return estimator_q(sample, m=est.m, alpha=est.alpha)
     if est.name == "c":
         return estimator_c(sample, alpha=est.alpha, c_alpha=est.c_alpha)

@@ -1,10 +1,13 @@
 """U-statistics, the empirical U-distribution, U-quantiles and the
 empirical first Hoeffding projection.
 
-All operations enumerate the C(n, m) index subsets exactly (subject to a
-capacity cap), except that the U-statistic and the projection of the
-built-in Gini kernel come from the sorted sample in O(n log n);
-subsampled variants live in :mod:`glstat.mc` where seeds are managed.
+Operations enumerate the C(n, m) index subsets exactly (subject to a
+capacity cap), with two exceptions that work from the sorted sample:
+the U-statistic and the projection of the built-in Gini kernel
+(O(n log n)), and H_n of the built-in min-pairwise kernel, which
+``u_distribution`` counts instead of enumerating (MinPairwiseCounts:
+U-quantiles, H_n(t) and per-point tail counts in O(n log^2 n)).
+Subsampled variants live in :mod:`glstat.mc` where seeds are managed.
 """
 
 from __future__ import annotations
@@ -12,12 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, ceil
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import CapacityError, InsufficientDataError
-from .kernels import GINI_ABS_DIFF, KernelSpec, eval_kernel_rows
+from .kernels import GINI_ABS_DIFF, MIN_PAIRWISE, KernelSpec, eval_kernel_rows
 
 DEFAULT_ENUM_CAP = 10 ** 8
 
@@ -62,24 +65,176 @@ class KernelValueSet:
         )
 
     def quantile(self, p: float, convention: str = "ceil") -> float:
-        """H_n^{-1}(p) as the k-th smallest kernel value.
+        """H_n^{-1}(p) as the k-th smallest kernel value; see _rank."""
+        return float(self.sorted_values[_rank(p, self.size, convention) - 1])
 
-        ``ceil``: k = ceil(p * N) (generalized inverse, 0 < p <= 1).
-        ``floor_bracket``: k = max(1, floor(p * N)), matching the
-        floor-bracket index used for the Q estimator.
+
+def _rank(p: float, N: int, convention: str) -> int:
+    """The 1-based rank k of H_n^{-1}(p) among N kernel values.
+
+    ``ceil``: k = ceil(p * N) (generalized inverse, 0 < p <= 1).
+    ``floor_bracket``: k = max(1, floor(p * N)), matching the
+    floor-bracket index used for the Q estimator.
+    """
+    if convention not in ("ceil", "floor_bracket"):
+        raise ValueError(f"unknown quantile convention {convention!r}")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p}")
+    k = ceil(p * N) if convention == "ceil" else int(np.floor(p * N))
+    return min(max(k, 1), N)
+
+
+def _first_false(pred: Callable[[np.ndarray], np.ndarray],
+                 lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per entry e, the first index i in [lo[e], hi[e]) where pred is
+    False (hi[e] if none), for a pred that is True on a prefix of each
+    range.  pred maps an array of one index per entry to booleans.
+    Binary lifting: all entries take the same log2(max width) steps."""
+    pos = lo.copy()
+    width = int((hi - lo).max(initial=0))
+    step = 1 << (width.bit_length() - 1) if width else 0
+    while step:
+        nxt = pos + step
+        ok = nxt <= hi
+        ok &= pred(np.minimum(nxt, hi) - 1)
+        pos += step * ok
+        step >>= 1
+    return pos
+
+
+def _clear_below(xs: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
+    """#{p : pts - xs[p] > t} per point, for sorted xs and t >= 0: the
+    p form a prefix, found by bisection with the kernel's subtraction."""
+    return _first_false(lambda p: pts - xs[p] > t,
+                        np.zeros(pts.size, dtype=np.int64),
+                        np.full(pts.size, xs.size, dtype=np.int64))
+
+
+def _chain_prefixes(xs: np.ndarray, m: int, t: float) -> List[np.ndarray]:
+    """pre[k][j] = number of k-chains of sorted positions, consecutive
+    gaps > t, inside the first j positions of xs, for k = 1..m (pre[0]
+    is unused).  Each length comes from the last by one prefix sum."""
+    ends = _clear_below(xs, xs, t)
+    pre = [None]
+    f = np.ones(xs.size, dtype=np.int64)  # chains ending at each position
+    for _ in range(m):
+        pre.append(np.concatenate(([0], np.cumsum(f))))
+        f = pre[-1][ends]
+    return pre
+
+
+class MinPairwiseCounts:
+    """H_n of the built-in min-pairwise kernel of dimension m, by counting
+    instead of enumerating its C(n, m) values.
+
+    The kernel value of an m-subset is its smallest consecutive gap in
+    sorted order, so h > t exactly when the subset is a chain of sorted
+    positions a_1 < ... < a_m whose consecutive gaps xs[b] - xs[a] all
+    exceed t.  Gaps are tested with that floating-point subtraction, the
+    one the kernel performs, so every count, H_n(t) and U-quantile
+    equals the enumerated one.  Memory is O(n m); counts are exact
+    int64, and samples whose counts could overflow raise CapacityError.
+    ``cdf`` and ``quantile`` have the semantics of KernelValueSet's.
+    """
+
+    def __init__(self, x: np.ndarray, m: int):
+        n = x.size
+        _require_n(x, m)
+        # chain counts of every length k <= m are at most C(n, k)
+        if comb(n, min(m, n // 2)) >= 2 ** 63:
+            raise CapacityError(
+                f"min-pairwise counts for n={n}, m={m} would overflow int64")
+        self.xs = np.sort(x)
+        self.n, self.m = n, m
+        self.size = comb(n, m)
+        self._kth: Dict[int, float] = {}
+
+    def count_le(self, t: float) -> int:
+        """#{m-subsets with h <= t}: C(n, m) minus the clear m-chains.
+        Every kernel value is >= 0, so t < 0 counts none."""
+        if t < 0:
+            return 0
+        return self.size - int(_chain_prefixes(self.xs, self.m, t)[-1][-1])
+
+    def cdf(self, t: float) -> float:
+        """H_n(t): fraction of kernel values <= t (right-continuous)."""
+        return self.count_le(t) / self.size
+
+    def per_point_le(self, t: float, pts: np.ndarray) -> np.ndarray:
+        """c(a) = #{(m-1)-subsets S of all n indices : h(a, S) <= t} for
+        every a in ``pts``.
+
+        A clear tail (h > t) splits into a j-chain below a, whose top
+        gap to a exceeds t, and an (m-1-j)-chain above a, whose bottom
+        gap does, so it is counted from forward and backward chain
+        counts.  Tails holding a itself or a value equal to it have a
+        zero gap and are never clear.
         """
-        N = self.size
-        if convention == "ceil":
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"p must be in (0, 1], got {p}")
-            k = min(max(ceil(p * N), 1), N)
-        elif convention == "floor_bracket":
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"p must be in (0, 1], got {p}")
-            k = min(max(int(np.floor(p * N)), 1), N)
-        else:
-            raise ValueError(f"unknown quantile convention {convention!r}")
-        return float(self.sorted_values[k - 1])
+        n, m = self.n, self.m
+        if t < 0:
+            return np.zeros(pts.size, dtype=np.int64)
+        # the reversed, negated sample tests each gap xs[b] - xs[a] as
+        # the same subtraction, so backward chains are its forward ones
+        rev = -self.xs[::-1]
+        fwd = _chain_prefixes(self.xs, m - 1, t)
+        bwd = _chain_prefixes(rev, m - 1, t)
+        lo = _clear_below(self.xs, pts, t)  # clear points below a
+        hi = _clear_below(rev, -pts, t)     # clear points above a
+        clear = np.zeros(pts.size, dtype=np.int64)
+        for j in range(m):
+            below = fwd[j][lo] if j else 1
+            above = bwd[m - 1 - j][hi] if j < m - 1 else 1
+            clear += below * above
+        return comb(n, m - 1) - clear
+
+    def quantile(self, p: float, convention: str = "ceil") -> float:
+        """H_n^{-1}(p) as the k-th smallest kernel value; see _rank."""
+        k = _rank(p, self.size, convention)
+        if k not in self._kth:
+            self._kth[k] = self._select(k)
+        return self._kth[k]
+
+    def _select(self, k: int) -> float:
+        """The k-th smallest kernel value, in O(n) memory.
+
+        Every kernel value is a gap D[a, b] = xs[b] - xs[a] (a < b),
+        and the rows of this implicit matrix are sorted.  Each row keeps
+        its candidate columns [lo, hi); a weighted median of the row
+        medians (Croux & Rousseeuw 1992; Johnson & Mitchell 1978) is
+        counted, and at least a quarter of the candidates drop out:
+        those >= the pivot when count_le(pivot) >= k (the pivot becomes
+        the best upper bound), else those <= it.  The answer, the
+        smallest gap d with count_le(d) >= k, stays among the candidates
+        and the bound; once O(n) candidates remain they are bisected.
+        """
+        xs, n = self.xs, self.n
+        lo = np.arange(1, n + 1)
+        hi = np.full(n, n)
+        best = float(xs[-1] - xs[0])  # the largest gap: count_le == N
+        while (hi - lo).sum() > n:
+            rows = np.flatnonzero(hi > lo)
+            cnt = hi[rows] - lo[rows]
+            med = xs[lo[rows] + (cnt - 1) // 2] - xs[rows]
+            order = np.argsort(med)
+            cum = np.cumsum(cnt[order])
+            pivot = float(med[order[np.searchsorted(cum, cum[-1] / 2)]])
+            if self.count_le(pivot) >= k:
+                best = pivot
+                hi = _first_false(lambda b: xs[b] - xs < pivot, lo, hi)
+            else:
+                lo = _first_false(lambda b: xs[b] - xs <= pivot, lo, hi)
+        cnt = hi - lo
+        rows = np.repeat(np.arange(n), cnt)
+        cols = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+        cand = np.unique(np.append(xs[cols] - xs[rows], best))
+        a, b = 0, cand.size - 1
+        while a < b:
+            mid = (a + b) // 2
+            if self.count_le(float(cand[mid])) >= k:
+                b = mid
+            else:
+                a = mid + 1
+        return float(cand[a])
 
 
 def _enumerate(x: np.ndarray, kernel: KernelSpec, cap: int) -> np.ndarray:
@@ -138,17 +293,32 @@ def u_statistic(sample, kernel: KernelSpec,
     return float(np.mean(_enumerate(x, kernel, cap)))
 
 
+# H_n as sorted kernel values or as counts; both have cdf and quantile
+UDistribution = Union[KernelValueSet, MinPairwiseCounts]
+
+
+def u_distribution(sample, kernel: KernelSpec,
+                   cap: int = DEFAULT_ENUM_CAP) -> UDistribution:
+    """H_n for ``cdf`` and ``quantile``: counted for a built-in
+    min-pairwise kernel (by identity, not by name), otherwise the
+    sorted kernel values.  ``cap`` bounds enumeration only."""
+    x = as_sample(sample)
+    if MIN_PAIRWISE.get(kernel.m) is kernel:
+        return MinPairwiseCounts(x, kernel.m)
+    return kernel_values(x, kernel, cap=cap)
+
+
 def empirical_u_cdf(sample, kernel: KernelSpec, t: float,
                     cap: int = DEFAULT_ENUM_CAP) -> float:
     """H_n(t), the empirical U-distribution function."""
-    return kernel_values(sample, kernel, cap=cap).cdf(t)
+    return u_distribution(sample, kernel, cap=cap).cdf(t)
 
 
 def u_quantile(sample, kernel: KernelSpec, p: float,
                convention: str = "ceil",
                cap: int = DEFAULT_ENUM_CAP) -> float:
-    """H_n^{-1}(p); see KernelValueSet.quantile for the conventions."""
-    return kernel_values(sample, kernel, cap=cap).quantile(p, convention)
+    """H_n^{-1}(p); see _rank for the conventions."""
+    return u_distribution(sample, kernel, cap=cap).quantile(p, convention)
 
 
 def empirical_cdf(sample, x: float) -> float:

@@ -293,6 +293,7 @@ def scenario1_run(tmp_path_factory):
     return report, manifest, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_egarch_normality_improves_with_n(scenario1_run):
     report, _, t_s1 = scenario1_run
     t0 = time.perf_counter()
@@ -330,6 +331,7 @@ def test_egarch_normality_improves_with_n(scenario1_run):
             elapsed)
 
 
+@pytest.mark.slow
 def test_egarch_experiment_is_reproducible(scenario1_run, tmp_path):
     _, manifest_first, t_s1 = scenario1_run
     t0 = time.perf_counter()

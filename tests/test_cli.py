@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from min_pairwise_oracle import q_interval
 
 from glstat.cli import read_series, run_cli
 
@@ -78,6 +79,30 @@ def test_estimate_q(tmp_path, capsys):
     assert run_cli(["estimate", "--estimator", "q",
                     "--input", str(p)]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+@pytest.mark.parametrize("n", [900, 5000])
+def test_q_commands_at_study_size(tmp_path, capsys, n):
+    # C(n, 3) triples would exceed the enumeration cap; estimate, lrv and
+    # ci count them instead.  At n = 900 they are held to a counting
+    # oracle on the matrix of sorted-sample differences.
+    x = np.random.default_rng(131).standard_normal(n)
+    p = tmp_path / "q.csv"
+    p.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x))
+    q = ["--estimator", "q", "--m", "3", "--input", str(p)]
+    assert run_cli(["estimate"] + q) == 0
+    est = float(capsys.readouterr().out)
+    assert run_cli(["lrv"] + q) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    assert run_cli(["ci"] + q) == 0
+    lo, hi = map(float, capsys.readouterr().out.split(","))
+    assert lo < est < hi
+    if n == 900:
+        want, sigma2, (want_lo, want_hi) = q_interval(x)
+        assert est == pytest.approx(want, rel=1e-9)
+        assert float(fields["sigma2_gl"]) == pytest.approx(sigma2, rel=1e-9)
+        assert lo == pytest.approx(want_lo, rel=1e-9)
+        assert hi == pytest.approx(want_hi, rel=1e-9)
 
 
 def test_lrv_identity_kernel(tmp_path, capsys):

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import glstat.ustat
 from glstat import (
     BandwidthPolicy,
     DegenerateDensityError,
+    GLSpec,
     LrvConfig,
     WeightFunction,
+    WeightFunctionJ,
     a1_hat,
     a1_hat_all,
     a_kernel_hat,
     build_plugin,
     builtin_kernel,
+    custom_kernel,
     default_bandwidth,
     density_at_uquantile,
     estimator_q,
@@ -194,3 +198,40 @@ def test_confidence_interval_basic_properties():
 
 def test_normal_critical_value():
     assert norm.ppf(0.975) == pytest.approx(1.95996, abs=1e-4)
+
+
+def test_influence_kernel_between_and_beyond_kernel_values():
+    # h(x, y) = x + y on [0, 1, 2, 5]: the projection rows reach values
+    # that are not kernel values of the sample, h(2, 2) = 4 between
+    # them and h(5, 5) = 10 above the largest.  J == 1 split into two
+    # pieces takes the tabulated route, whose A must equal the linear
+    # route's A(v) = v - U_n there too.
+    plus = custom_kernel("plus", 2, lambda a: a[0] + a[1],
+                         eval_rows=lambda r: r[:, 0] + r[:, 1])
+    split = GLSpec(kernel=plus, weight=WeightFunctionJ.piecewise(
+        [(0.0, 0.5, (1.0,)), (0.5, 1.0, (1.0,))]))
+    linear = GLSpec(kernel=plus, weight=WeightFunctionJ.constant(1.0))
+    x = np.array([0.0, 1.0, 2.0, 5.0])
+    np.testing.assert_allclose(a1_hat_all(x, split), [-2.0, -1.0, 0.0, 3.0],
+                               atol=1e-15)
+    np.testing.assert_allclose(a1_hat_all(x, linear), [-2.0, -1.0, 0.0, 3.0],
+                               atol=1e-15)
+
+
+def test_linear_interval_enumerates_u_n_once(monkeypatch):
+    # range kernel, J == 1: C(200, 2) = 19900 rows for U_n and 200 x 200
+    # projection rows, and no second U_n for the point estimate
+    rows = []
+    original = glstat.ustat.eval_kernel_rows
+
+    def counting(kernel, r):
+        rows.append(len(r))
+        return original(kernel, r)
+
+    monkeypatch.setattr(glstat.ustat, "eval_kernel_rows", counting)
+    spec = GLSpec(kernel=builtin_kernel("range", {"m": 2}),
+                  weight=WeightFunctionJ.constant(1.0))
+    x = np.random.default_rng(5).standard_normal(200)
+    lo, hi = gl_confidence_interval(x, spec)
+    assert sum(rows) == 59900
+    assert 0.5 * (lo + hi) == pytest.approx(gl_statistic(x, spec), rel=1e-15)

@@ -1,8 +1,10 @@
 import json
 import os
+from math import floor
 
 import numpy as np
 import pytest
+from min_pairwise_oracle import Triples
 
 from glstat import (
     BandwidthPolicy,
@@ -20,7 +22,7 @@ from glstat import (
     simulate_path,
     write_report,
 )
-from glstat.errors import CapacityError, DegenerateVarianceError
+from glstat.errors import DegenerateVarianceError
 from glstat.mc import apply_estimator, q_subsampled
 
 
@@ -91,10 +93,14 @@ def test_q_subsampled_generic_m_matches_fast_path_quantile():
     assert np.isfinite(v4) and v4 > 0
 
 
-def test_apply_estimator_exact_q_limit():
-    est = EstimatorConfig(name="q", m=3, subsample=0)
-    with pytest.raises(CapacityError):
-        apply_estimator(est, np.random.default_rng(1).standard_normal(1000))
+def test_apply_estimator_exact_q_at_study_size():
+    # C(1000, 3) = 1.7e8 triples: exact Q counts them instead of
+    # enumerating; its rank must bracket k = floor(alpha N)
+    x = np.random.default_rng(1).standard_normal(1000)
+    q = apply_estimator(EstimatorConfig(name="q", m=3, subsample=0), x)
+    H = Triples(x)
+    k = max(1, floor(0.5 * H.N))
+    assert H.count_lt(q) < k <= H.count_le(q)
 
 
 def test_simulate_path_kinds():
