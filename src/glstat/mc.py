@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 from math import floor
 from typing import Dict, List, Optional, Tuple
 
@@ -36,9 +37,11 @@ from .processes import (
     simulate_garch11,
     simulate_innovations,
 )
+from .ustat import as_sample
 
 DEFAULT_REPLICATIONS = 500
 DEFAULT_Q_SUBSAMPLE = 2_000_000
+_Q_CHUNK_ROWS = 1 << 14  # index rows drawn per chunk in q_subsampled
 
 
 # --- configuration ---------------------------------------------------------
@@ -170,6 +173,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ValueError("need at least 2 replications")
+        # labels key the cells, the report file names and the RNG streams
+        labels = [e.label for e in self.estimators]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"duplicate estimator label {label!r}")
 
     def to_dict(self) -> dict:
         d = {
@@ -243,25 +251,49 @@ def simulate_path(process: ProcessConfig, n: int,
 
 def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
                  rng: np.random.Generator) -> float:
-    """Incomplete-U-statistic Q estimator over random m-subsets."""
-    x = np.asarray(sample, dtype=float)
-    n = x.size
-    idx = rng.integers(0, n, size=(int(n_subsets), m))
-    if m == 3:
-        i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-        distinct = (i != j) & (i != k) & (j != k)
-        a, b, c = x[i[distinct]], x[j[distinct]], x[k[distinct]]
-        vals = np.minimum(np.abs(a - b),
-                          np.minimum(np.abs(a - c), np.abs(b - c)))
-    else:
-        idx.sort(axis=1)
-        distinct = np.all(np.diff(idx, axis=1) > 0, axis=1)
-        rows = np.sort(x[idx[distinct]], axis=1)
-        vals = np.min(np.diff(rows, axis=1), axis=1)
-    if vals.size == 0:
+    """Incomplete-U-statistic Q estimator over random m-subsets.
+
+    Stream contract: ``n_subsets`` rows of m indices are drawn uniformly
+    from range(n) with replacement, row-major, from ``rng`` (in an
+    experiment, the cell's Philox substream).  Rows with a repeated
+    index are discarded; among the remaining #distinct rows the estimate
+    is the k-th smallest min-pairwise gap, k = max(1, floor(alpha *
+    #distinct)).  The draws are taken in chunks of _Q_CHUNK_ROWS rows,
+    which consumes the same stream as one draw of all rows.
+
+    A repeated row's kernel value is exactly 0 on finite input, the
+    smallest possible value, so the k-th smallest distinct value is the
+    (#repeated + k)-th smallest of all rows and no row is ever removed.
+    """
+    x = as_sample(sample)
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    if n_subsets < 1:
+        raise ValueError(f"n_subsets must be at least 1, got {n_subsets}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    pairs = list(combinations(range(m), 2))
+    vals = np.empty(int(n_subsets))
+    repeated = 0
+    for start in range(0, vals.size, _Q_CHUNK_ROWS):
+        out = vals[start:start + _Q_CHUNK_ROWS]
+        idx = rng.integers(0, x.size, size=(out.size, m)).T
+        cols = x[idx]
+        dup = np.zeros(out.size, dtype=bool)
+        out.fill(np.inf)
+        # the min over all pairs is the min gap of the sorted row bit
+        # for bit: rounding is monotone and |a - b| == |b - a| exactly
+        for a, b in pairs:
+            gap = np.abs(cols[a] - cols[b])
+            np.minimum(out, gap, out=out)
+            dup |= idx[a] == idx[b]
+        repeated += int(np.count_nonzero(dup))
+    distinct = vals.size - repeated
+    if distinct == 0:
         raise DegenerateVarianceError("no distinct index subsets drawn")
-    k = max(1, floor(alpha * vals.size))
-    return float(np.partition(vals, k - 1)[k - 1])
+    j = repeated + max(1, floor(alpha * distinct)) - 1
+    vals.partition(j)
+    return float(vals[j])
 
 
 def apply_estimator(est: EstimatorConfig, sample,

@@ -157,6 +157,25 @@ def test_experiment_command(tmp_path, capsys):
     assert "gini n=25" in capsys.readouterr().out
 
 
+def test_experiment_command_rejects_duplicate_labels(tmp_path, capsys):
+    q_sub = {"name": "q", "m": 3, "alpha": 0.5, "c_alpha": 1.0,
+             "subsample": 1000}
+    cfg = {
+        "process": {"kind": "iid_gaussian"},
+        "estimators": [q_sub, dict(q_sub, m=4)],
+        "sample_sizes": [25],
+        "replications": 8,
+        "seed": 3,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(out)]) == 1
+    assert "duplicate estimator label 'q_sub'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_1_on_domain_error(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     assert run_cli(["estimate", "--estimator", "gini",

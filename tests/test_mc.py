@@ -22,8 +22,8 @@ from glstat import (
     simulate_path,
     write_report,
 )
-from glstat.errors import DegenerateVarianceError
-from glstat.mc import apply_estimator, q_subsampled
+from glstat.errors import DegenerateVarianceError, InsufficientDataError
+from glstat.mc import _Q_CHUNK_ROWS, apply_estimator, q_subsampled
 
 
 def small_config(**overrides):
@@ -87,10 +87,77 @@ def test_q_subsampled_deterministic_given_rng():
     assert a == b
 
 
-def test_q_subsampled_generic_m_matches_fast_path_quantile():
-    x = np.random.default_rng(105).standard_normal(40)
-    v4 = q_subsampled(x, 4, 0.5, 50_000, make_rng(13))
-    assert np.isfinite(v4) and v4 > 0
+def _q_subsampled_two_branch(sample, m, alpha, n_subsets, rng):
+    """Frozen copy of the compacting routine with an m == 3 branch that
+    the streaming q_subsampled replaced."""
+    x = np.asarray(sample, dtype=float)
+    n = x.size
+    idx = rng.integers(0, n, size=(int(n_subsets), m))
+    if m == 3:
+        i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
+        distinct = (i != j) & (i != k) & (j != k)
+        a, b, c = x[i[distinct]], x[j[distinct]], x[k[distinct]]
+        vals = np.minimum(np.abs(a - b),
+                          np.minimum(np.abs(a - c), np.abs(b - c)))
+    else:
+        idx.sort(axis=1)
+        distinct = np.all(np.diff(idx, axis=1) > 0, axis=1)
+        rows = np.sort(x[idx[distinct]], axis=1)
+        vals = np.min(np.diff(rows, axis=1), axis=1)
+    if vals.size == 0:
+        raise DegenerateVarianceError("no distinct index subsets drawn")
+    k = max(1, floor(alpha * vals.size))
+    return float(np.partition(vals, k - 1)[k - 1])
+
+
+def rng_state(rng):
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist())
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_q_subsampled_bit_identical_to_two_branch_routine(m):
+    # tied data (small integers), n = m where most rows repeat an index,
+    # one partial chunk and a run that ends inside a chunk, and an RNG
+    # whose Philox buffer holds half a word from an earlier int32 draw
+    tied = np.random.default_rng(107).integers(0, 6, size=40).astype(float)
+    for x in (tied, tied[:m]):
+        for n_subsets in (1000, 2 * _Q_CHUNK_ROWS + 77):
+            for warm in (False, True):
+                for alpha in (0.2, 0.5):
+                    old, new = make_rng(m), make_rng(m)
+                    if warm:
+                        old.integers(0, 10, dtype=np.int32)
+                        new.integers(0, 10, dtype=np.int32)
+                    want = _q_subsampled_two_branch(x, m, alpha, n_subsets,
+                                                    old)
+                    assert q_subsampled(x, m, alpha, n_subsets, new) == want
+                    assert rng_state(new) == rng_state(old)
+
+
+@pytest.mark.parametrize("m, alpha, n_subsets, sample", [
+    (1, 0.5, 100, None),
+    (3, 1.5, 100, None),
+    (3, 0.0, 100, None),
+    (3, 0.5, 0, None),
+    (3, 0.5, -5, None),
+    (3, 0.5, 100, [0.3, float("nan"), 1.2, 2.0]),
+])
+def test_q_subsampled_rejects_bad_arguments_before_drawing(
+        m, alpha, n_subsets, sample):
+    x = np.arange(10.0) if sample is None else sample
+    rng = make_rng(3)
+    before = rng_state(rng)
+    with pytest.raises(ValueError):
+        q_subsampled(x, m, alpha, n_subsets, rng)
+    assert rng_state(rng) == before
+
+
+def test_q_subsampled_empty_or_too_short_sample():
+    with pytest.raises(InsufficientDataError):
+        q_subsampled([], 3, 0.5, 100, make_rng(3))
+    # n < m: every row repeats an index
+    with pytest.raises(DegenerateVarianceError):
+        q_subsampled([1.0, 2.0], 3, 0.5, 100, make_rng(3))
 
 
 def test_apply_estimator_exact_q_at_study_size():
@@ -138,6 +205,19 @@ def test_config_json_round_trip(tmp_path):
     p = tmp_path / "config.json"
     p.write_text(text)
     assert load_config(p).to_json() == text
+
+
+def test_duplicate_estimator_labels_are_rejected():
+    # both subsampled Q estimators are labelled q_sub and would share
+    # one RNG substream and one report cell
+    with pytest.raises(ValueError, match="duplicate estimator label 'q_sub'"):
+        small_config(estimators=(
+            EstimatorConfig(name="q", subsample=1000),
+            EstimatorConfig(name="q", m=4, alpha=0.25, subsample=1000)))
+    d = small_config().to_dict()
+    d["estimators"].append(d["estimators"][0])
+    with pytest.raises(ValueError, match="duplicate estimator label 'gini'"):
+        ExperimentConfig.from_dict(d)
 
 
 def test_config_with_output_dir_key_loads(tmp_path):
