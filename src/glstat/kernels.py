@@ -85,8 +85,10 @@ GINI_ABS_DIFF = KernelSpec(
     eval_rows=lambda r: np.abs(r[:, 0] - r[:, 1]),
 )
 
-# the shared min_pairwise instance of each dimension m, filled on first use
+# the shared min_pairwise and range instances of each dimension m, filled
+# on first use
 MIN_PAIRWISE: Dict[int, KernelSpec] = {}
+RANGE: Dict[int, KernelSpec] = {}
 
 
 def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> KernelSpec:
@@ -94,8 +96,9 @@ def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> K
 
     ``min_pairwise`` and ``range`` take the dimension via ``params['m']``
     (default 3 for min_pairwise, required >= 2 for both).
-    ``gini_abs_diff`` always returns the shared ``GINI_ABS_DIFF``, and
-    ``min_pairwise`` the shared ``MIN_PAIRWISE[m]``.
+    ``gini_abs_diff`` always returns the shared ``GINI_ABS_DIFF``,
+    ``min_pairwise`` the shared ``MIN_PAIRWISE[m]`` and ``range`` the
+    shared ``RANGE[m]``.
     """
     params = dict(params or {})
     if name == "gini_abs_diff":
@@ -122,13 +125,13 @@ def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> K
         m = int(params.get("m", 2))
         if m < 2:
             raise ValueError(f"range kernel requires m >= 2, got {m}")
-        return KernelSpec(
+        return RANGE.setdefault(m, KernelSpec(
             name=name,
             m=m,
             params={"m": m},
             eval_one=lambda a: float(np.max(a) - np.min(a)),
             eval_rows=lambda r: np.ptp(r, axis=1),
-        )
+        ))
     raise ValueError(f"unknown kernel {name!r}; known: {BUILTIN_KERNEL_NAMES}")
 
 

@@ -258,8 +258,9 @@ def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
     ``kvs`` nor H_n is used.  A spec with J == 0 needs only quantiles
     and H_n(t) (``u_distribution``: counted for the built-in
     min-pairwise kernel); other specs need the sorted kernel values.
-    ``cap`` bounds enumeration only, which the built-in Gini and
-    min-pairwise kernels never need here.
+    ``cap`` bounds enumeration only, which neither a linear spec on a
+    kernel with a closed form (see glstat.ustat) nor a J == 0 spec on
+    the built-in min-pairwise kernel needs.
     """
     cfg = cfg or LrvConfig()
     x = as_sample(sample)

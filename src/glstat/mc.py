@@ -40,7 +40,6 @@ from .processes import (
 from .ustat import as_sample
 
 DEFAULT_REPLICATIONS = 500
-DEFAULT_Q_SUBSAMPLE = 2_000_000
 _Q_CHUNK_ROWS = 1 << 14  # index rows drawn per chunk in q_subsampled
 
 

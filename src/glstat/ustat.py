@@ -2,11 +2,20 @@
 empirical first Hoeffding projection.
 
 Operations enumerate the C(n, m) index subsets exactly (subject to a
-capacity cap), with two exceptions that work from the sorted sample:
-the U-statistic and the projection of the built-in Gini kernel
-(O(n log n)), and H_n of the built-in min-pairwise kernel, which
-``u_distribution`` counts instead of enumerating (MinPairwiseCounts:
-U-quantiles, H_n(t) and per-point tail counts in O(n log^2 n)).
+capacity cap), except where a catalog kernel, recognized by identity,
+has a closed form over the sorted sample:
+
+    kernel                U_n, tail sums, g1_hat          H_n
+    gini_abs_diff         prefix sums, O(n log n)         enumerated
+    min_pairwise, m = 2   as gini_abs_diff                counted
+    min_pairwise, m = 3   run sums, O(n^2 log n)          counted
+    min_pairwise, m >= 4  enumerated                      counted
+    range, any m          binomial sums, O(n log n)       enumerated
+    other kernels         enumerated                      enumerated
+
+A projection of a transformed kernel (``project`` with a transform)
+enumerates its tails.  Counted H_n (MinPairwiseCounts) gives
+U-quantiles, H_n(t) and per-point tail counts in O(n log^2 n).
 Subsampled variants live in :mod:`glstat.mc` where seeds are managed.
 """
 
@@ -20,7 +29,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import CapacityError, InsufficientDataError
-from .kernels import GINI_ABS_DIFF, MIN_PAIRWISE, KernelSpec, eval_kernel_rows
+from .kernels import (GINI_ABS_DIFF, MIN_PAIRWISE, RANGE, KernelSpec,
+                      eval_kernel_rows)
 
 DEFAULT_ENUM_CAP = 10 ** 8
 
@@ -237,6 +247,169 @@ class MinPairwiseCounts:
         return float(cand[a])
 
 
+# --- closed forms of catalog kernels ----------------------------------------
+#
+# Each takes the sorted sample xs.
+
+# grid entries per block of the min-pairwise closed form
+_GRID_ENTRIES = 1 << 16
+
+
+def _shifted(xs: np.ndarray, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """xs and pts less the sample median, so that prefix sums stay small
+    when the sample sits far from zero."""
+    c = xs[xs.size // 2]
+    return xs - c, pts - c
+
+
+def _abs_diff_tails(xs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """S(a) = sum_j |a - X_j| from prefix sums."""
+    n = xs.size
+    ys, a = _shifted(xs, pts)
+    pre = np.concatenate(([0.0], np.cumsum(ys)))
+    k = np.searchsorted(ys, a, side="right")  # #{j : X_j <= a}
+    return a * (2 * k - n) + pre[n] - 2.0 * pre[k]
+
+
+def _abs_diff_u(xs: np.ndarray) -> float:
+    """2 / (n (n - 1)) * sum_i (2 i - n - 1) X_(i)."""
+    n = xs.size
+    i = np.arange(1, n + 1)
+    return float(2.0 / (n * (n - 1)) * np.sum((2 * i - n - 1) * xs))
+
+
+def _blocks(n: int, width: int):
+    """Columns of consecutive indices 0..n-1, few enough that a block
+    times ``width`` stays near _GRID_ENTRIES entries."""
+    step = max(1, _GRID_ENTRIES // max(width, 1))
+    for k0 in range(0, n, step):
+        yield np.arange(k0, min(n, k0 + step))[:, None]
+
+
+def _capped_sums(xs: np.ndarray, ref: np.ndarray,
+                 cap: np.ndarray) -> np.ndarray:
+    """sum over l of min(cap, max(xs[l] - ref, 0)), for one ref per row of
+    the grid cap >= 0.  Each term is a gap the kernel computes itself.
+    The gaps of a row, nondecreasing, are below cap up to a position p;
+    the gaps before p are added up from their cumulative sums (all >= 0,
+    so nothing cancels) and the n - p others score cap each."""
+    n, w = xs.size, xs.size + 2
+    # per row: gaps[l] at column l + 1, between -inf and +inf sentinels,
+    # and the sum of the gaps before p at column p
+    gaps = np.empty((ref.size, w))
+    gaps[:, 0], gaps[:, -1] = -np.inf, np.inf
+    np.maximum(xs - ref, 0.0, out=gaps[:, 1:-1])
+    runs = np.zeros((ref.size, w))
+    np.cumsum(gaps[:, 1:-1], axis=1, out=runs[:, 1:-1])
+    # ref + cap rounds, so p is checked against the gaps themselves, and a
+    # row where it is off (a value within rounding of the boundary) is
+    # searched again; a gap equal to cap may fall on either side
+    p = np.searchsorted(xs, ref + cap)
+    at = np.arange(ref.size)[:, None] * w + p
+    off = (np.take(gaps, at) > cap) | (np.take(gaps, at + 1) < cap)
+    for r in np.flatnonzero(off.any(axis=1)):
+        p[r] = np.searchsorted(gaps[r, 1:-1], cap[r])
+        at[r] = r * w + p[r]
+    return np.take(runs, at) + (n - p) * cap
+
+
+def _pairs_above(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum over positions j < l with xs[j] > a of
+    min(xs[j] - a, xs[l] - xs[j]), for each of the ascending points a."""
+    out = np.zeros(a.size)
+    for j in _blocks(xs.size, max(xs.size, a.size)):
+        y = xs[j]
+        c = np.searchsorted(a, y[-1, 0])  # points below some y
+        s = _capped_sums(xs, y, np.maximum(y - a[:c], 0.0))
+        out[:c] += s.sum(axis=0)
+    return out
+
+
+def _pairs_around(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum over positions j, l with xs[j] < a < xs[l] of
+    min(a - xs[j], xs[l] - a), for each point a."""
+    out = np.zeros(a.size)
+    for k in _blocks(a.size, xs.size):
+        b = a[k]
+        y = xs[:np.searchsorted(xs, b.max())]  # values below some b
+        out[k[:, 0]] = _capped_sums(xs, b, np.maximum(b - y, 0.0)).sum(axis=1)
+    return out
+
+
+def _min3_tails(xs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """S(a) = sum over pairs j < k of the min-pairwise kernel of
+    (a, X_j, X_k): the smaller gap of the sorted triple.  A pair lies
+    above a, below a or on both sides of it; a value equal to a scores
+    0 with any partner.  Every term is a gap the kernel computes itself.
+    O(n log n) time per point; memory O(n) per block of the grid."""
+    order = np.argsort(pts, kind="stable")
+    a = pts[order]
+    # the pairs below a are the pairs above -a in the negated sample
+    below = _pairs_above(-xs[::-1], -a[::-1])[::-1]
+    out = np.empty(pts.size)
+    out[order] = _pairs_above(xs, a) + below + _pairs_around(xs, a)
+    return out
+
+
+def _min3_u(xs: np.ndarray) -> float:
+    """U_n of the m = 3 min-pairwise kernel: each triple counted once,
+    around its middle value (a tied triple scores 0)."""
+    return float(np.sum(_pairs_around(xs, xs)) / comb(xs.size, 3))
+
+
+def _float_count(v: int) -> int:
+    """A subset count v that a float holds exactly, else CapacityError."""
+    if v >= 2 ** 53:
+        raise CapacityError(f"{v} subsets exceed 2^53: a float binomial "
+                            "would lose precision")
+    return v
+
+
+def _binomials(n: int, k: int) -> np.ndarray:
+    """C(i, k) for i = 0..n as exact floats."""
+    _float_count(comb(n, k))
+    return np.array([comb(i, k) for i in range(n + 1)], dtype=float)
+
+
+def _range_tails(xs: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
+    """S(a) = sum over (m-1)-subsets T of max(a, T) - min(a, T).  The
+    C(r, m-1) subsets inside the r values <= a have max a; the others
+    have their top value, X_(i) for C(i, m-2) of them.  The min is the
+    same from below."""
+    n = xs.size
+    ys, b = _shifted(xs, pts)
+    c1, c2 = _binomials(n, m - 1), _binomials(n, m - 2)
+    top = np.append(np.cumsum((ys * c2[:n])[::-1])[::-1], 0.0)
+    bottom = np.concatenate(([0.0], np.cumsum(ys * c2[n - 1::-1])))
+    r = np.searchsorted(ys, b, side="right")
+    return b * (c1[r] - c1[n - r]) + top[r] - bottom[r]
+
+
+def _range_u(xs: np.ndarray, m: int) -> float:
+    """U_n = sum_i X_(i) (C(i, m-1) - C(n-1-i, m-1)) / C(n, m)."""
+    n = xs.size
+    c1 = _binomials(n, m - 1)
+    ys = xs - xs[n // 2]  # as in _shifted
+    w = c1[:n] - c1[n - 1::-1]
+    return float(np.dot(w, ys) / _float_count(comb(n, m)))
+
+
+def _closed_form(kernel: KernelSpec):
+    """(tails, u) of a catalog kernel with a closed form (see the module
+    docstring), recognized by identity, or None: tails(xs, pts) is
+    tail_sums and u(xs) the U-statistic, both of the sorted sample xs.
+    min_pairwise m = 2 is |x - y| and shares the Gini forms."""
+    m = kernel.m
+    if kernel is GINI_ABS_DIFF or kernel is MIN_PAIRWISE.get(2):
+        return _abs_diff_tails, _abs_diff_u
+    if kernel is MIN_PAIRWISE.get(3):
+        return _min3_tails, _min3_u
+    if kernel is RANGE.get(m):
+        return (lambda xs, pts: _range_tails(xs, pts, m),
+                lambda xs: _range_u(xs, m))
+    return None
+
+
 def _enumerate(x: np.ndarray, kernel: KernelSpec, cap: int) -> np.ndarray:
     """The C(n, m) kernel values of a validated sample, unsorted.
 
@@ -276,20 +449,18 @@ def kernel_values(sample, kernel: KernelSpec,
 
 def u_statistic(sample, kernel: KernelSpec,
                 cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Mean of the kernel over all C(n, m) index subsets.
-
-    For ``GINI_ABS_DIFF`` (by identity, not by name) this is the
-    O(n log n) order-statistic identity
+    """Mean of the kernel over all C(n, m) index subsets; from the sorted
+    sample for a kernel with a closed form (see _closed_form), otherwise
+    by enumeration.  For ``GINI_ABS_DIFF`` this is the order-statistic
+    identity
 
         2 / (n (n - 1)) * sum_i (2 i - n - 1) X_(i).
     """
     x = as_sample(sample)
     _require_n(x, kernel.m)
-    if kernel is GINI_ABS_DIFF:
-        n = x.size
-        i = np.arange(1, n + 1)
-        return float(2.0 / (n * (n - 1))
-                     * np.sum((2 * i - n - 1) * np.sort(x)))
+    closed = _closed_form(kernel)
+    if closed is not None:
+        return closed[1](np.sort(x))
     return float(np.mean(_enumerate(x, kernel, cap)))
 
 
@@ -348,19 +519,13 @@ def tail_sums(x: np.ndarray, kernel: KernelSpec,
     every a in ``pts``, with f = transform (identity when None) and x a
     validated sample.
 
-    For ``GINI_ABS_DIFF`` without a transform, S(a) = sum_j |a - X_j|
-    comes from prefix sums over the sorted sample.
+    Without a transform, a kernel with a closed form (see _closed_form)
+    takes it; every other kernel enumerates the C(n, m-1) tails.
     """
     n, m = x.size, kernel.m
-    if kernel is GINI_ABS_DIFF and transform is None:
-        xs = np.sort(x)
-        # shifted by the median, so that the prefix sums stay small when
-        # the sample sits far from zero
-        ys = xs - xs[n // 2]
-        a = pts - xs[n // 2]
-        pre = np.concatenate(([0.0], np.cumsum(ys)))
-        k = np.searchsorted(ys, a, side="right")  # #{j : X_j <= a}
-        return a * (2 * k - n) + pre[n] - 2.0 * pre[k]
+    closed = _closed_form(kernel) if transform is None else None
+    if closed is not None:
+        return closed[0](np.sort(x), pts)
     f = transform or (lambda v: v)
     # the C(n, m-1) tails, enumerated once in lexicographic index order;
     # m = 1 has one empty tail, and combinations() would still copy the
@@ -400,17 +565,17 @@ def project(sample, kernel: KernelSpec,
     sums run over the full sample and do not exclude any index whose
     value equals x.  ``kvs`` reuses the sample's sorted kernel values.
 
-    For ``GINI_ABS_DIFF`` without a transform, the inner sums come from
-    prefix sums (see tail_sums) and the outer sum is C(n, 2) U_n: no
-    kernel value is enumerated.
+    For a kernel with a closed form and no transform, the inner sums
+    come from tail_sums and the outer sum is C(n, m) U_n: no kernel
+    value is enumerated.
     """
     x = as_sample(sample)
     n, m = x.size, kernel.m
     _require_n(x, m)
     d1, d2 = _g1_denominators(n, m, normalization)
     pts = x if at is None else as_sample(at)
-    if kernel is GINI_ABS_DIFF and transform is None:
-        total = comb(n, 2) * u_statistic(x, kernel)
+    if transform is None and _closed_form(kernel) is not None:
+        total = comb(n, m) * u_statistic(x, kernel)
     else:
         f = transform or (lambda v: v)
         total = np.sum(f(_enumerate(x, kernel, cap) if kvs is None

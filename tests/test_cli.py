@@ -1,10 +1,13 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
 from min_pairwise_oracle import q_interval
 
+from glstat import builtin_kernel
 from glstat.cli import read_series, run_cli
+from glstat.ustat import tail_sums
 
 
 @pytest.fixture
@@ -103,6 +106,79 @@ def test_q_commands_at_study_size(tmp_path, capsys, n):
         assert float(fields["sigma2_gl"]) == pytest.approx(sigma2, rel=1e-9)
         assert lo == pytest.approx(want_lo, rel=1e-9)
         assert hi == pytest.approx(want_hi, rel=1e-9)
+
+
+# kernels of (a, y, z), given lo = min(y, z), hi = max(y, z), gap = hi - lo
+def min_pairwise3(a, lo, hi, gap):
+    return np.minimum(np.minimum(np.abs(a - lo), np.abs(a - hi)), gap)
+
+
+def range3(a, lo, hi, gap):
+    return np.maximum(a, hi) - np.minimum(a, lo)
+
+
+def pair_sums(x, pts, h, entries=1 << 18):
+    """sum over index pairs j < k of the kernel of (a, x_j, x_k) for each
+    a in pts, by direct evaluation, a block of rows j at a time."""
+    n = x.size
+    out = np.zeros(len(pts))
+    rows = max(1, entries // n)
+    for j0 in range(0, n, rows):
+        j, k = np.nonzero(np.arange(j0, min(n, j0 + rows))[:, None]
+                          < np.arange(n))
+        lo = np.minimum(x[j + j0], x[k])
+        hi = np.maximum(x[j + j0], x[k])
+        gap = hi - lo
+        for i, a in enumerate(pts):
+            out[i] += h(a, lo, hi, gap).sum()
+    return out
+
+
+def bartlett_lrv(g):
+    n = g.size
+    b = 1
+    while (b + 1) ** 3 <= n:
+        b += 1
+    sigma2 = g @ g / n
+    for r in range(1, b):
+        sigma2 += 2.0 * (1.0 - r / b) * (g[:-r] @ g[r:]) / n
+    return sigma2
+
+
+def ustat3_lrv(x, h):
+    """lrv_ustat of an m = 3 kernel with the CLI's defaults, from all-pairs
+    tail sums S(x_i): every triple of distinct indices appears in three
+    of them, and S(x_i) also holds the pairs {i, k}, h(x_i, x_i, x_k)."""
+    n = x.size
+    s = pair_sums(x, x, h)
+    # the pairs {i, k} in S(x_i); k = i adds h(v, v, v) = 0
+    with_self = sum(h(v, np.minimum(v, x), np.maximum(v, x),
+                      np.abs(v - x)).sum() for v in x)
+    u = (s.sum() - with_self) / (3 * comb(n, 3))
+    return bartlett_lrv(s / comb(n, 2) - u)
+
+
+@pytest.mark.parametrize("name,h", [("min_pairwise", min_pairwise3),
+                                    ("range", range3)])
+@pytest.mark.parametrize("n", [900, 5000])
+def test_lrv_kernel_commands_at_study_size(tmp_path, capsys, name, h, n):
+    # C(n, 3) triples would exceed the enumeration cap; lrv --kernel takes
+    # the closed form of the tail sums.  At n = 900 it is held to the
+    # all-pairs oracle, at n = 5000 its tail sums at a few points.
+    x = np.random.default_rng(137).standard_normal(n)
+    p = tmp_path / "k.csv"
+    p.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x))
+    assert run_cli(["lrv", "--kernel", name, "--m", "3",
+                    "--input", str(p)]) == 0
+    sigma2 = float(capsys.readouterr().out)
+    if n == 900:
+        assert sigma2 == pytest.approx(ustat3_lrv(x, h), rel=1e-9)
+    else:
+        assert sigma2 > 0.0
+        pts = np.array([x.min(), np.median(x), x[17], x.max() + 0.5])
+        kernel = builtin_kernel(name, {"m": 3})
+        np.testing.assert_allclose(tail_sums(x, kernel, None, pts),
+                                   pair_sums(x, pts, h), rtol=1e-9)
 
 
 def test_lrv_identity_kernel(tmp_path, capsys):

@@ -219,8 +219,9 @@ def test_influence_kernel_between_and_beyond_kernel_values():
 
 
 def test_linear_interval_enumerates_u_n_once(monkeypatch):
-    # range kernel, J == 1: C(200, 2) = 19900 rows for U_n and 200 x 200
-    # projection rows, and no second U_n for the point estimate
+    # an enumerating range kernel, J == 1: C(200, 2) = 19900 rows for U_n
+    # and 200 x 200 projection rows, and no second U_n for the point
+    # estimate; the built-in RANGE[2] has a closed form and enumerates none
     rows = []
     original = glstat.ustat.eval_kernel_rows
 
@@ -229,9 +230,14 @@ def test_linear_interval_enumerates_u_n_once(monkeypatch):
         return original(kernel, r)
 
     monkeypatch.setattr(glstat.ustat, "eval_kernel_rows", counting)
-    spec = GLSpec(kernel=builtin_kernel("range", {"m": 2}),
-                  weight=WeightFunctionJ.constant(1.0))
+    enum_range = custom_kernel("range", 2, lambda a: float(np.ptp(a)),
+                               eval_rows=lambda r: np.ptp(r, axis=1))
     x = np.random.default_rng(5).standard_normal(200)
-    lo, hi = gl_confidence_interval(x, spec)
-    assert sum(rows) == 59900
-    assert 0.5 * (lo + hi) == pytest.approx(gl_statistic(x, spec), rel=1e-15)
+    for kernel, want in ((enum_range, 59900),
+                         (builtin_kernel("range", {"m": 2}), 0)):
+        rows.clear()
+        spec = GLSpec(kernel=kernel, weight=WeightFunctionJ.constant(1.0))
+        lo, hi = gl_confidence_interval(x, spec)
+        assert sum(rows) == want
+        assert 0.5 * (lo + hi) == pytest.approx(gl_statistic(x, spec),
+                                                rel=1e-15)
