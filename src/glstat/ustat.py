@@ -8,7 +8,7 @@ has a closed form over the sorted sample:
     kernel                U_n, tail sums, g1_hat          H_n
     gini_abs_diff         prefix sums, O(n log n)         enumerated
     min_pairwise, m = 2   as gini_abs_diff                counted
-    min_pairwise, m = 3   run sums, O(n^2 log n)          counted
+    min_pairwise, m = 3   capped gap sums, O(n^2 log n)   counted
     min_pairwise, m >= 4  enumerated                      counted
     range, any m          binomial sums, O(n log n)       enumerated
     other kernels         enumerated                      enumerated
