@@ -34,17 +34,14 @@ from .lrv import (
     GLVarianceReport,
     LrvConfig,
     PluginContext,
-    WeightFunction,
     a1_hat,
     a1_hat_all,
-    a_kernel_hat,
     build_plugin,
     default_bandwidth,
     density_at_uquantile,
     gl_confidence_interval,
     lrv_gl,
     lrv_ustat,
-    weight_bartlett,
 )
 from .mc import (
     EstimatorConfig,
@@ -80,7 +77,6 @@ from .ustat import (
     empirical_u_cdf,
     g1_hat_all,
     hoeffding_decompose_population,
-    hoeffding_g1_hat,
     kernel_values,
     u_distribution,
     u_quantile,

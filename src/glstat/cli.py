@@ -26,7 +26,6 @@ from .kernels import builtin_kernel
 from .lrv import (
     BandwidthPolicy,
     LrvConfig,
-    WeightFunction,
     gl_confidence_interval,
     lrv_gl,
     lrv_ustat,
@@ -76,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_estimator_flags(sp)
 
     def add_lrv_flags(sp):
-        sp.add_argument("--kernel-weight", default="bartlett",
-                        choices=["bartlett"])
         sp.add_argument("--bandwidth", default="auto",
                         help="'auto' or a positive number")
         sp.add_argument("--normalization", default="combinatorial",
@@ -128,7 +125,7 @@ def _make_lrv_config(args) -> LrvConfig:
         policy = BandwidthPolicy.auto()
     else:
         policy = BandwidthPolicy.fixed(float(args.bandwidth))
-    return LrvConfig(weight=WeightFunction.bartlett(), bandwidth=policy,
+    return LrvConfig(bandwidth=policy,
                      density_halfwidth_c=args.density_c,
                      normalization=args.normalization)
 

@@ -11,7 +11,7 @@ estimator in this package is parameterized by one.  Built-ins:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ class KernelSpec:
 
     name: str
     m: int
-    params: Mapping[str, float] = field(default_factory=dict)
     eval_one: Callable[[np.ndarray], float] = None
     eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -117,7 +116,6 @@ def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> K
         return MIN_PAIRWISE.setdefault(m, KernelSpec(
             name=name,
             m=m,
-            params={"m": m},
             eval_one=lambda a: float(np.min(np.diff(np.sort(a)))),
             eval_rows=_min_pairwise_rows,
         ))
@@ -128,7 +126,6 @@ def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> K
         return RANGE.setdefault(m, KernelSpec(
             name=name,
             m=m,
-            params={"m": m},
             eval_one=lambda a: float(np.max(a) - np.min(a)),
             eval_rows=lambda r: np.ptp(r, axis=1),
         ))
@@ -140,12 +137,10 @@ def custom_kernel(
     m: int,
     eval_one: Callable[[np.ndarray], float],
     eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    params: Optional[Mapping[str, float]] = None,
 ) -> KernelSpec:
     """Wrap a user-supplied symmetric function as a KernelSpec.
 
     Symmetry is the caller's obligation; the test suite spot-checks it
     for the built-ins only.
     """
-    return KernelSpec(name=name, m=m, params=dict(params or {}),
-                      eval_one=eval_one, eval_rows=eval_rows)
+    return KernelSpec(name=name, m=m, eval_one=eval_one, eval_rows=eval_rows)

@@ -1,8 +1,9 @@
 """Long-run variance estimation for U-statistics and GL-statistics.
 
-The U-statistic estimator is the weighted autocovariance sum
+The U-statistic estimator is the Bartlett-weighted autocovariance sum
+(Newey & West 1987; the only lag window)
 
-    sigma2_hat = sum_{r=-(n-1)}^{n-1} kappa(|r|/b_n) * rho_hat(r),
+    sigma2_hat = sum_{r=-(n-1)}^{n-1} (1 - |r|/b_n)_+ * rho_hat(r),
     rho_hat(r) = (1/n) sum_{i=1}^{n-|r|} ghat_1(X_i) ghat_1(X_{i+|r|}),
 
 with the denominator 1/n at every lag.  The GL version replaces ghat_1
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, sqrt
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.stats import norm
@@ -34,7 +35,7 @@ from .errors import DegenerateDensityError, InsufficientDataError
 from .gl import GLSpec, gl_statistic
 # eval_kernel_rows is unused here but stays a module attribute:
 # perfbench/tracing.py counts kernel rows by rebinding lrv.eval_kernel_rows
-from .kernels import KernelSpec, eval_kernel, eval_kernel_rows  # noqa: F401
+from .kernels import KernelSpec, eval_kernel_rows  # noqa: F401
 from .ustat import (
     DEFAULT_ENUM_CAP,
     MinPairwiseCounts,
@@ -43,37 +44,10 @@ from .ustat import (
     as_sample,
     g1_hat_all,
     kernel_values,
-    project,
     tail_sums,
     u_distribution,
     u_statistic,
 )
-
-
-def weight_bartlett(t: float) -> float:
-    """Bartlett weight kappa(t) = (1 - t) for 0 <= t <= 1, else 0."""
-    if t < 0:
-        raise ValueError(f"lag ratio must be >= 0, got {t}")
-    return 1.0 - t if t <= 1.0 else 0.0
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Lag weight kappa for the autocovariance sum."""
-
-    kind: str
-    eval_one: Callable[[float], float]
-
-    @staticmethod
-    def bartlett() -> "WeightFunction":
-        return WeightFunction(kind="bartlett", eval_one=weight_bartlett)
-
-    @staticmethod
-    def custom(name: str, fn: Callable[[float], float]) -> "WeightFunction":
-        return WeightFunction(kind=name, eval_one=fn)
-
-    def __call__(self, t: float) -> float:
-        return float(self.eval_one(t))
 
 
 def default_bandwidth(n: int) -> int:
@@ -128,43 +102,36 @@ class BandwidthPolicy:
 class LrvConfig:
     """Configuration for long-run variance estimation."""
 
-    weight: WeightFunction = field(default_factory=WeightFunction.bartlett)
     bandwidth: BandwidthPolicy = field(default_factory=BandwidthPolicy.auto)
     density_halfwidth_c: float = 0.5
     normalization: str = "combinatorial"
 
 
-def _weighted_autocov(g: np.ndarray, cfg: LrvConfig, b: float) -> float:
-    """sum_r kappa(|r|/b) rho_hat(r) with rho_hat(r) = (1/n) sum g_i g_{i+r}.
+def _weighted_autocov(g: np.ndarray, b: float) -> float:
+    """sum_r (1 - |r|/b)_+ rho_hat(r) with rho_hat(r) = (1/n) sum g_i g_{i+r}.
 
     Summation order is lag-major with ascending index, so the result is
     independent of any internal parallelism.
     """
     n = g.size
-    total = cfg.weight(0.0) * float(np.dot(g, g)) / n
+    total = float(np.dot(g, g)) / n
     for r in range(1, n):
-        w = cfg.weight(r / b)
-        if w == 0.0:
-            if cfg.weight.kind == "bartlett":
-                break
-            continue
-        total += 2.0 * w * float(np.dot(g[:-r], g[r:])) / n
+        if r / b >= 1.0:
+            break
+        total += 2.0 * (1.0 - r / b) * float(np.dot(g[:-r], g[r:])) / n
     return total
 
 
 def lrv_ustat(sample, kernel: KernelSpec,
               cfg: Optional[LrvConfig] = None,
               cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Long-run variance estimate for a U-statistic.
-
-    Returned raw: may be negative for weights without the Bartlett
-    positive-semidefiniteness property.
-    """
+    """Long-run variance estimate for a U-statistic; the Bartlett window
+    is positive semidefinite, so it is >= 0 up to rounding."""
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
     g1 = g1_hat_all(x, kernel, normalization=cfg.normalization, cap=cap)
     b = cfg.bandwidth.resolve(x.size)
-    return _weighted_autocov(g1, cfg, b)
+    return _weighted_autocov(g1, b)
 
 
 def density_at_uquantile(sample, kernel: KernelSpec, p: float,
@@ -212,6 +179,10 @@ class PluginContext:
 
     kvs: Optional[UDistribution]
     spec: GLSpec
+    # T(H_n), the point estimate A is centred for
+    estimate: float
+    # U_n of a linear spec, where A(v) = c (v - U_n); None otherwise
+    u_n: Optional[float]
     quantiles: Tuple[float, ...]
     densities: Tuple[float, ...]
     # suffix[r] = sum_{k >= r} (w_{k+1} - w_k) J(k/N), 1-based r
@@ -219,17 +190,13 @@ class PluginContext:
     _k0: float
     # J(r/N) for r = 0..N, the weight on each step of H_n
     _j_steps: np.ndarray
-    # when J == c is constant the integral term collapses to
-    # c * (v - U_n); (c, U_n) or None
-    _linear_shortcut: Optional[Tuple[float, float]] = None
 
     def a_of_values(self, v: np.ndarray) -> np.ndarray:
         """Plug-in influence kernel A as a function of the kernel value."""
         v = np.asarray(v, dtype=float)
         out = np.zeros_like(v)
-        if self._linear_shortcut is not None:
-            c, mean_w = self._linear_shortcut
-            out += c * (v - mean_w)
+        if self.u_n is not None:
+            out += self.spec.linear_constant * (v - self.u_n)
         elif self._suffix.size:
             w = self.kvs.sorted_values
             N = w.size
@@ -245,14 +212,12 @@ class PluginContext:
             out += a * (p - (v <= xi)) / dens
         return out
 
-    def a_of_value(self, v: float) -> float:
-        return float(self.a_of_values(np.array([v]))[0])
-
 
 def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
                  cap: int = DEFAULT_ENUM_CAP,
                  kvs: Optional[UDistribution] = None) -> PluginContext:
-    """Materialize every empirical surrogate A needs.
+    """Materialize every empirical surrogate A needs, and the estimate
+    T(H_n) from the same H_n.
 
     A linear spec (``spec.linear_constant``) needs only U_n, so neither
     ``kvs`` nor H_n is used.  A spec with J == 0 needs only quantiles
@@ -266,21 +231,18 @@ def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
     x = as_sample(sample)
     c = spec.linear_constant
     if c is not None:
-        # A(v) = c (v - U_n): no H_n, quantiles or densities
+        # A(v) = c (v - U_n) and T = c U_n: no H_n, quantiles or densities
+        u = u_statistic(x, spec.kernel, cap=cap)
         return PluginContext(
-            kvs=None, spec=spec, quantiles=(), densities=(),
-            _suffix=np.zeros(0), _k0=0.0, _j_steps=np.zeros(0),
-            _linear_shortcut=(c, u_statistic(x, spec.kernel, cap=cap)))
+            kvs=None, spec=spec, estimate=c * u, u_n=u, quantiles=(),
+            densities=(), _suffix=np.zeros(0), _k0=0.0,
+            _j_steps=np.zeros(0))
     if kvs is None:
         kvs = (u_distribution(x, spec.kernel, cap=cap) if spec.weight.is_zero
                else kernel_values(x, spec.kernel, cap=cap))
-    shortcut = None
     suffix = j_steps = np.zeros(0)
     k0 = 0.0
-    cval = spec.weight.constant_value
-    if cval is not None:
-        shortcut = (cval, float(np.mean(kvs.sorted_values)))
-    elif not spec.weight.is_zero:
+    if not spec.weight.is_zero:
         # N = 1 still gets a (zero) suffix, so that a_of_values keeps
         # the J(0) and J(1) terms outside the single kernel value
         w = kvs.sorted_values
@@ -300,19 +262,10 @@ def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
         qs.append(kvs.quantile(p, conv))
         ds.append(density_at_uquantile(x, spec.kernel, p, cfg, cap=cap,
                                        kvs=kvs, convention=conv))
-    return PluginContext(kvs=kvs, spec=spec, quantiles=tuple(qs),
-                         densities=tuple(ds), _suffix=suffix, _k0=k0,
-                         _j_steps=j_steps, _linear_shortcut=shortcut)
-
-
-def a_kernel_hat(sample, spec: GLSpec, args,
-                 plugin: Optional[PluginContext] = None,
-                 cfg: Optional[LrvConfig] = None,
-                 cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Evaluate the plug-in influence kernel A at an m-vector."""
-    if plugin is None:
-        plugin = build_plugin(sample, spec, cfg, cap=cap)
-    return plugin.a_of_value(eval_kernel(spec.kernel, args))
+    return PluginContext(kvs=kvs, spec=spec,
+                         estimate=gl_statistic(x, spec, cap=cap, kvs=kvs),
+                         u_n=None, quantiles=tuple(qs), densities=tuple(ds),
+                         _suffix=suffix, _k0=k0, _j_steps=j_steps)
 
 
 def _project_a(sample, spec: GLSpec, plugin: PluginContext, at,
@@ -322,12 +275,11 @@ def _project_a(sample, spec: GLSpec, plugin: PluginContext, at,
     n, m = x.size, spec.kernel.m
     d1, d2 = _g1_denominators(n, m, normalization)
     pts = x if at is None else as_sample(at)
-    if spec.linear_constant is not None:
+    if plugin.u_n is not None:
         # A = c (h - U_n), so the outer sum vanishes in either
         # normalization: Ahat_1 = c (S - C(n, m-1) U_n) / d1
-        c, u = plugin._linear_shortcut
-        return c * (tail_sums(x, spec.kernel, None, pts)
-                    - comb(n, m - 1) * u) / d1
+        return spec.linear_constant * (tail_sums(x, spec.kernel, None, pts)
+                                       - comb(n, m - 1) * plugin.u_n) / d1
     H = plugin.kvs
     if isinstance(H, MinPairwiseCounts):
         # J == 0: A(v) = sum_k a_k (p_k - 1[v <= xi_k]) / hhat_k, so the
@@ -339,8 +291,10 @@ def _project_a(sample, spec: GLSpec, plugin: PluginContext, at,
             out += a * ((p * tails - H.per_point_le(xi, pts)) / d1
                         - (p * H.size - H.count_le(xi)) / d2) / dens
         return out
-    return project(sample, spec.kernel, transform=plugin.a_of_values,
-                   at=at, normalization=normalization, kvs=plugin.kvs)
+    # inner sums of A o h over the enumerated tails, outer sum over H_n
+    total = np.sum(plugin.a_of_values(H.sorted_values))
+    return (tail_sums(x, spec.kernel, plugin.a_of_values, pts) / d1
+            - total / d2)
 
 
 def a1_hat(sample, spec: GLSpec, x: float,
@@ -397,7 +351,7 @@ def lrv_gl(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
     a1 = a1_hat_all(x, spec, plugin=plugin, normalization=cfg.normalization,
                     cap=cap)
     b = cfg.bandwidth.resolve(x.size)
-    raw = _weighted_autocov(a1, cfg, b)
+    raw = _weighted_autocov(a1, b)
     clamped = raw < 0.0
     s2 = max(raw, 0.0)
     m = spec.kernel.m
@@ -426,11 +380,7 @@ def gl_confidence_interval(sample, spec: GLSpec,
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
     plugin = build_plugin(x, spec, cfg, cap=cap)
-    if spec.linear_constant is not None:
-        c, u = plugin._linear_shortcut  # T = c U_n, without a second U_n
-        t = c * u
-    else:
-        t = gl_statistic(x, spec, cap=cap, kvs=plugin.kvs)
+    t = plugin.estimate
     report = lrv_gl(x, spec, cfg, cap=cap, plugin=plugin)
     z = float(norm.ppf(0.5 * (1.0 + level)))
     half = z * sqrt(report.m2_sigma2_gl / x.size)

@@ -28,7 +28,7 @@ from .gl import (
     estimator_q,
     gini_gl_spec,
 )
-from .lrv import BandwidthPolicy, LrvConfig, WeightFunction, gl_confidence_interval
+from .lrv import BandwidthPolicy, LrvConfig, gl_confidence_interval
 from .processes import (
     EgarchParams,
     InnovationModel,
@@ -132,7 +132,7 @@ class EstimatorConfig:
 
 def _lrv_to_dict(cfg: LrvConfig) -> dict:
     return {
-        "weight": cfg.weight.kind,
+        "weight": "bartlett",
         "bandwidth": {"kind": cfg.bandwidth.kind, "b": cfg.bandwidth.b,
                       "c": cfg.bandwidth.c, "e": cfg.bandwidth.e},
         "density_halfwidth_c": cfg.density_halfwidth_c,
@@ -147,7 +147,6 @@ def _lrv_from_dict(d: dict) -> LrvConfig:
         )
     bw = d.get("bandwidth", {"kind": "auto"})
     return LrvConfig(
-        weight=WeightFunction.bartlett(),
         bandwidth=BandwidthPolicy(kind=bw.get("kind", "auto"),
                                   b=bw.get("b", 0.0), c=bw.get("c", 1.0),
                                   e=bw.get("e", 1.0 / 3.0)),

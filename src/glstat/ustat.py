@@ -13,8 +13,8 @@ has a closed form over the sorted sample:
     range, any m          binomial sums, O(n log n)       enumerated
     other kernels         enumerated                      enumerated
 
-A projection of a transformed kernel (``project`` with a transform)
-enumerates its tails.  Counted H_n (MinPairwiseCounts) gives
+Tail sums of a transformed kernel (``tail_sums`` with a transform)
+are enumerated.  Counted H_n (MinPairwiseCounts) gives
 U-quantiles, H_n(t) and per-point tail counts in O(n log^2 n).
 Subsampled variants live in :mod:`glstat.mc` where seeds are managed.
 """
@@ -549,46 +549,29 @@ def tail_sums(x: np.ndarray, kernel: KernelSpec,
     return s1
 
 
-def project(sample, kernel: KernelSpec,
-            transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-            at=None, normalization: str = "combinatorial",
-            kvs: Optional[KernelValueSet] = None,
+def project(sample, kernel: KernelSpec, at=None,
+            normalization: str = "combinatorial",
             cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """Empirical first Hoeffding projection of f = transform(h) at the
-    points ``at`` (default: every sample point).
+    """Empirical first Hoeffding projection of h at the points ``at``
+    (default: every sample point).
 
-    f_1(x) = (1/d1) sum over i_1<...<i_{m-1} of f(x, X_{i_1..i_{m-1}})
-           - (1/d2) sum over i_1<...<i_m of f(X_{i_1..i_m})
+    g_1(x) = (1/d1) sum over i_1<...<i_{m-1} of h(x, X_{i_1..i_{m-1}})
+           - (1/d2) sum over i_1<...<i_m of h(X_{i_1..i_m})
 
     ``combinatorial`` divides by the true subset counts C(n, m-1) and
     C(n, m); ``paper_literal`` divides by n^{m-1} and n^m.  The inner
     sums run over the full sample and do not exclude any index whose
-    value equals x.  ``kvs`` reuses the sample's sorted kernel values.
-
-    For a kernel with a closed form and no transform, the inner sums
-    come from tail_sums and the outer sum is C(n, m) U_n: no kernel
-    value is enumerated.
+    value equals x.  The inner sums come from tail_sums and the outer
+    sum is C(n, m) U_n, so a kernel with a closed form enumerates no
+    kernel value.
     """
     x = as_sample(sample)
     n, m = x.size, kernel.m
     _require_n(x, m)
     d1, d2 = _g1_denominators(n, m, normalization)
     pts = x if at is None else as_sample(at)
-    if transform is None and _closed_form(kernel) is not None:
-        total = comb(n, m) * u_statistic(x, kernel)
-    else:
-        f = transform or (lambda v: v)
-        total = np.sum(f(_enumerate(x, kernel, cap) if kvs is None
-                         else kvs.sorted_values))
-    return tail_sums(x, kernel, transform, pts) / d1 - total / d2
-
-
-def hoeffding_g1_hat(sample, kernel: KernelSpec, x: float,
-                     normalization: str = "combinatorial",
-                     cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Empirical first Hoeffding kernel ghat_1 at ``x``; see project."""
-    return float(project(sample, kernel, at=[x], normalization=normalization,
-                         cap=cap)[0])
+    total = comb(n, m) * u_statistic(x, kernel, cap=cap)
+    return tail_sums(x, kernel, None, pts) / d1 - total / d2
 
 
 def g1_hat_all(sample, kernel: KernelSpec,

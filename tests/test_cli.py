@@ -261,6 +261,15 @@ def test_exit_code_1_on_domain_error(tmp_path, capsys):
     short.write_text("1.0\n")
     assert run_cli(["estimate", "--estimator", "gini",
                     "--input", str(short)]) == 1
+    # Bartlett is the only lag window; a config asking for another fails
+    cfg = {"process": {"kind": "iid_gaussian"},
+           "estimators": [{"name": "gini"}], "sample_sizes": [25],
+           "replications": 8, "lrv": {"weight": "parzen"}}
+    cfg_path = tmp_path / "parzen.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "out")]) == 1
+    assert "bartlett" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_usage_error(three_csv):
@@ -269,4 +278,9 @@ def test_exit_code_2_on_usage_error(three_csv):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run_cli([])
+    assert exc.value.code == 2
+    # the lag window is not a flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["lrv", "--estimator", "gini", "--input", three_csv,
+                 "--kernel-weight", "bartlett"])
     assert exc.value.code == 2

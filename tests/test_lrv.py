@@ -8,11 +8,9 @@ from glstat import (
     DegenerateDensityError,
     GLSpec,
     LrvConfig,
-    WeightFunction,
     WeightFunctionJ,
     a1_hat,
     a1_hat_all,
-    a_kernel_hat,
     build_plugin,
     builtin_kernel,
     custom_kernel,
@@ -26,19 +24,9 @@ from glstat import (
     lrv_gl,
     lrv_ustat,
     q_gl_spec,
-    weight_bartlett,
 )
 
 GINI = builtin_kernel("gini_abs_diff")
-
-
-def test_bartlett_weight():
-    assert weight_bartlett(0.0) == 1.0
-    assert weight_bartlett(0.5) == 0.5
-    assert weight_bartlett(1.0) == 0.0
-    assert weight_bartlett(2.0) == 0.0
-    with pytest.raises(ValueError):
-        weight_bartlett(-0.1)
 
 
 def test_default_bandwidth():
@@ -94,14 +82,6 @@ def test_bartlett_lrv_nonnegative():
         assert lrv_ustat(x, GINI) >= -1e-14
 
 
-def test_custom_weight_is_used():
-    x = np.random.default_rng(47).standard_normal(20)
-    trunc = WeightFunction.custom("truncated", lambda t: 1.0 if t <= 1 else 0.0)
-    cfg_t = LrvConfig(weight=trunc, bandwidth=BandwidthPolicy.fixed(3.0))
-    cfg_b = LrvConfig(bandwidth=BandwidthPolicy.fixed(3.0))
-    assert lrv_ustat(x, GINI, cfg_t) != pytest.approx(lrv_ustat(x, GINI, cfg_b))
-
-
 def test_density_at_uquantile():
     rng = np.random.default_rng(53)
     x = rng.standard_normal(400)
@@ -128,10 +108,48 @@ def test_a_kernel_hat_is_kernel_minus_mean_for_gini():
     x = rng.standard_normal(25)
     from glstat import kernel_values
     mean_kv = float(np.mean(kernel_values(x, GINI).sorted_values))
+    plugin = build_plugin(x, gini_gl_spec())
     for pair in ([x[0], x[1]], [x[3], x[3]], [x[5], x[9]]):
         h = abs(pair[0] - pair[1])
-        assert a_kernel_hat(x, gini_gl_spec(), pair) == pytest.approx(
+        assert plugin.a_of_values(np.array([h]))[0] == pytest.approx(
             h - mean_kv, abs=1e-12)
+
+
+def test_constant_j_with_discrete_term_matches_direct_sums():
+    # J == c on [0, 1] plus one discrete term: A(h) = c (h - mean of the
+    # kernel values) + a (p - 1[h <= xi_hat]) / hhat, projected by direct
+    # sums over every pair, on the built-in Gini kernel and on an
+    # enumerating copy
+    enum_gini = custom_kernel("abs_diff", 2, lambda a: abs(a[0] - a[1]),
+                              eval_rows=lambda r: np.abs(r[:, 0] - r[:, 1]))
+    a, p = 0.7, 0.3
+    rng = np.random.default_rng(83)
+    samples = (rng.standard_normal(16), np.round(rng.standard_normal(20), 1))
+    for x in samples:
+        n = x.size
+        h = np.abs(x[:, None] - x[None, :])  # h(x_i, x_j), j over all n
+        w = np.sort(h[np.triu_indices(n, k=1)])
+        N = w.size
+        xi = w[int(np.ceil(p * N)) - 1]
+        delta = 0.5 * (w[int(np.ceil(0.75 * N)) - 1]
+                       - w[int(np.ceil(0.25 * N)) - 1]) * n ** (-0.2)
+        F = np.searchsorted(w, [xi - delta, xi + delta], side="right") / N
+        dens = (F[1] - F[0]) / (2.0 * delta)
+        for c in (1.0, -2.5):
+            def A(v):
+                return c * (v - w.mean()) + a * (p - (v <= xi)) / dens
+            total = A(w).sum()
+            for norm_name, d1, d2 in (("combinatorial", n, N),
+                                      ("paper_literal", n, n * n)):
+                want = A(h).sum(axis=1) / d1 - total / d2
+                for kernel in (GINI, enum_gini):
+                    spec = GLSpec(kernel=kernel,
+                                  weight=WeightFunctionJ.constant(c),
+                                  discrete=((a, p),))
+                    got = a1_hat_all(x, spec, normalization=norm_name)
+                    np.testing.assert_allclose(
+                        got, want, rtol=0,
+                        atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_a1_hat_pointwise_matches_vectorized():
@@ -184,16 +202,20 @@ def test_lrv_gl_matches_lrv_ustat_for_gini():
 def test_confidence_interval_basic_properties():
     rng = np.random.default_rng(79)
     x = rng.standard_normal(300)
-    spec = gini_gl_spec()
-    lo, hi = gl_confidence_interval(x, spec, level=0.95)
-    t = gl_statistic(x, spec)
-    assert lo < t < hi
-    assert (hi - lo) == pytest.approx(
-        2.0 * (t - lo), rel=1e-12)
-    lo99, hi99 = gl_confidence_interval(x, spec, level=0.99)
-    assert lo99 < lo and hi99 > hi
-    with pytest.raises(ValueError):
-        gl_confidence_interval(x, spec, level=1.0)
+    two_piece = GLSpec(kernel=GINI, weight=WeightFunctionJ.piecewise(
+        [(0.0, 0.5, (1.0,)), (0.5, 1.0, (0.0, 2.0))]))
+    for spec in (gini_gl_spec(), q_gl_spec(m=2), q_gl_spec(m=3), two_piece):
+        lo, hi = gl_confidence_interval(x, spec, level=0.95)
+        t = gl_statistic(x, spec)
+        # the interval is centred at the plug-in's own T(H_n)
+        assert build_plugin(x, spec).estimate == t
+        assert lo < t < hi
+        assert (hi - lo) == pytest.approx(
+            2.0 * (t - lo), rel=1e-12)
+        lo99, hi99 = gl_confidence_interval(x, spec, level=0.99)
+        assert lo99 < lo and hi99 > hi
+        with pytest.raises(ValueError):
+            gl_confidence_interval(x, spec, level=1.0)
 
 
 def test_normal_critical_value():

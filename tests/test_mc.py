@@ -270,13 +270,17 @@ def test_invalid_estimator_option_is_a_cell_error():
     assert c.error.startswith("ValueError: alpha must be in (0, 0.5)")
 
 
-def test_coverage_computed_for_gini_with_lrv():
+def test_coverage_computed_for_gini_with_lrv(tmp_path):
     cfg = small_config(estimators=(EstimatorConfig(name="gini"),),
                        sample_sizes=(50,), replications=10,
                        lrv=LrvConfig())
     report = run_experiment(cfg)
     cov = report.cells[("gini", 50)].coverage
     assert cov is not None and 0.0 <= cov <= 1.0
+    # the lag window is Bartlett, and config.json says so
+    write_report(report, tmp_path / "out")
+    written = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert written["lrv"]["weight"] == "bartlett"
 
 
 def test_degenerate_cell_is_recorded_not_raised():

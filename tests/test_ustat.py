@@ -11,7 +11,6 @@ from glstat import (
     InsufficientDataError,
     WeightFunctionJ,
     a1_hat_all,
-    a_kernel_hat,
     build_plugin,
     builtin_kernel,
     custom_kernel,
@@ -21,7 +20,6 @@ from glstat import (
     g1_hat_all,
     gini_gl_spec,
     hoeffding_decompose_population,
-    hoeffding_g1_hat,
     kernel_values,
     q_gl_spec,
     u_quantile,
@@ -119,8 +117,9 @@ def test_empirical_cdf():
 
 
 def test_g1_hat_examples():
-    assert hoeffding_g1_hat([0.0, 1.0], GINI, 0.0) == pytest.approx(-0.5, abs=1e-15)
-    assert hoeffding_g1_hat([0.0, 1.0, 2.0], GINI, 2.0) == pytest.approx(
+    assert ustat.project([0.0, 1.0], GINI, at=[0.0])[0] == pytest.approx(
+        -0.5, abs=1e-15)
+    assert ustat.project([0.0, 1.0, 2.0], GINI, at=[2.0])[0] == pytest.approx(
         -1.0 / 3.0, abs=1e-15)
 
 
@@ -161,7 +160,11 @@ def test_g1_hat_matches_brute_force_small(monkeypatch):
             if spec.discrete and x.size == 2:
                 continue
             plugin = build_plugin(x, spec)
-            A = partial(a_kernel_hat, x, spec, plugin=plugin)
+
+            def A(args):
+                v = eval_kernel(spec.kernel, args)
+                return plugin.a_of_values(np.array([v]))[0]
+
             for norm in norms:
                 fast = a1_hat_all(x, spec, plugin=plugin, normalization=norm)
                 slow = [brute_g1(x, spec.kernel.m, A, v, norm) for v in x]
@@ -172,7 +175,7 @@ def test_g1_hat_all_consistent_with_pointwise():
     rng = np.random.default_rng(21)
     x = rng.standard_normal(10)
     fast = g1_hat_all(x, MINP3)
-    slow = np.array([hoeffding_g1_hat(x, MINP3, v) for v in x])
+    slow = np.array([ustat.project(x, MINP3, at=[v])[0] for v in x])
     np.testing.assert_allclose(fast, slow, atol=1e-13)
 
 
