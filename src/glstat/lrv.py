@@ -89,13 +89,19 @@ class BandwidthPolicy:
         return BandwidthPolicy(kind="auto")
 
     def resolve(self, n: int) -> float:
+        """b_n for sample size n; a policy built from a config dict skips
+        the constructors' checks, so b_n > 0 is checked here."""
         if self.kind == "fixed":
-            return self.b
-        if self.kind == "power_law":
-            return self.c * n ** self.e
-        if self.kind == "auto":
-            return float(default_bandwidth(n))
-        raise ValueError(f"unknown bandwidth policy {self.kind!r}")
+            b = self.b
+        elif self.kind == "power_law":
+            b = self.c * n ** self.e
+        elif self.kind == "auto":
+            b = float(default_bandwidth(n))
+        else:
+            raise ValueError(f"unknown bandwidth policy {self.kind!r}")
+        if not b > 0:
+            raise ValueError(f"bandwidth must be > 0, got {b}")
+        return b
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,9 @@ def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
                  cap: int = DEFAULT_ENUM_CAP,
                  kvs: Optional[UDistribution] = None) -> PluginContext:
     """Materialize every empirical surrogate A needs, and the estimate
-    T(H_n) from the same H_n.
+    T(H_n) from the same H_n.  The estimate is always computed: for a
+    non-linear spec that is one gl_statistic pass over H_n, even for
+    callers that read only A.
 
     A linear spec (``spec.linear_constant``) needs only U_n, so neither
     ``kvs`` nor H_n is used.  A spec with J == 0 needs only quantiles

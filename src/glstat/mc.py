@@ -143,7 +143,7 @@ def _lrv_to_dict(cfg: LrvConfig) -> dict:
 def _lrv_from_dict(d: dict) -> LrvConfig:
     if d["weight"] != "bartlett":
         raise ValueError(
-            f"only the bartlett weight is serializable, got {d['weight']!r}"
+            f"the lag window is bartlett only, got {d['weight']!r}"
         )
     bw = d.get("bandwidth", {"kind": "auto"})
     return LrvConfig(

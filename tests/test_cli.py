@@ -252,7 +252,7 @@ def test_experiment_command_rejects_duplicate_labels(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_exit_code_1_on_domain_error(tmp_path, capsys):
+def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):
     missing = str(tmp_path / "missing.csv")
     assert run_cli(["estimate", "--estimator", "gini",
                     "--input", missing]) == 1
@@ -270,6 +270,17 @@ def test_exit_code_1_on_domain_error(tmp_path, capsys):
     assert run_cli(["experiment", "--config", str(cfg_path),
                     "--out", str(tmp_path / "out")]) == 1
     assert "bartlett" in capsys.readouterr().err
+    # a NaN bandwidth passes the flag parser but not BandwidthPolicy.resolve
+    assert run_cli(["lrv", "--estimator", "gini", "--input", three_csv,
+                    "--bandwidth", "nan"]) == 1
+    assert "bandwidth must be > 0" in capsys.readouterr().err
+    # a config dict skips the policy constructors; the cells record the error
+    cfg["lrv"] = {"weight": "bartlett", "bandwidth": {"kind": "fixed", "b": -3}}
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "neg")]) == 0
+    assert ("gini n=25: ValueError: bandwidth must be > 0, got -3"
+            in capsys.readouterr().out)
 
 
 def test_exit_code_2_on_usage_error(three_csv):

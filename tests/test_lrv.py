@@ -45,6 +45,12 @@ def test_bandwidth_policies():
         BandwidthPolicy.power_law(1.0, 0.5)
     with pytest.raises(ValueError):
         BandwidthPolicy.fixed(0.0)
+    # built directly (as from a config dict), the policy is checked on use
+    for bad in (BandwidthPolicy(kind="fixed", b=-3.0),
+                BandwidthPolicy(kind="fixed", b=float("nan")),
+                BandwidthPolicy(kind="power_law", c=-1.0)):
+        with pytest.raises(ValueError, match="bandwidth must be > 0"):
+            bad.resolve(100)
 
 
 def test_lrv_ustat_two_point_example():
