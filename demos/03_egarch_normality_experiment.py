@@ -2,7 +2,7 @@
 on EGARCH(1,1) data with AR(1) innovations.
 
 A scaled-down version of the full study (fewer replications, smaller
-subsample budget) so it runs in about a minute.  For each estimator and
+subsample budget) so it runs in a few seconds.  For each estimator and
 sample size it reports the normal QQ correlation of the replicated
 estimates -- closer to 1 means closer to Gaussian.
 """

@@ -34,7 +34,6 @@ from .lrv import (
     GLVarianceReport,
     LrvConfig,
     PluginContext,
-    a1_hat,
     a1_hat_all,
     build_plugin,
     default_bandwidth,

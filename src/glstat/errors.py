@@ -10,7 +10,8 @@ class InsufficientDataError(GlstatError):
 
 
 class CapacityError(GlstatError):
-    """Full enumeration of index subsets would exceed the configured cap."""
+    """Enumeration beyond glstat.ustat.ENUM_CAP index subsets, or a
+    subset count too large to hold exactly."""
 
 
 class DegenerateDensityError(GlstatError):

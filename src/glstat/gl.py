@@ -19,7 +19,6 @@ from scipy.stats import norm
 from .errors import InsufficientDataError
 from .kernels import GINI_ABS_DIFF, KernelSpec, builtin_kernel
 from .ustat import (
-    DEFAULT_ENUM_CAP,
     UDistribution,
     as_sample,
     kernel_values,
@@ -40,30 +39,27 @@ class WeightFunctionJ:
     All integrals are evaluated from the closed-form antiderivative.
     """
 
-    kind: str
     pieces: Tuple[Piece, ...] = ()
 
     @staticmethod
     def zero() -> "WeightFunctionJ":
-        return WeightFunctionJ(kind="zero")
+        return WeightFunctionJ()
 
     @staticmethod
     def constant(c: float = 1.0,
                  support: Tuple[float, float] = (0.0, 1.0)) -> "WeightFunctionJ":
         lo, hi = support
-        return WeightFunctionJ(kind="constant", pieces=((lo, hi, (c,)),))
+        return WeightFunctionJ(pieces=((lo, hi, (c,)),))
 
     @staticmethod
     def linear(slope: float, intercept: float,
                support: Tuple[float, float] = (0.0, 1.0)) -> "WeightFunctionJ":
         lo, hi = support
-        return WeightFunctionJ(kind="linear",
-                               pieces=((lo, hi, (intercept, slope)),))
+        return WeightFunctionJ(pieces=((lo, hi, (intercept, slope)),))
 
     @staticmethod
     def piecewise(pieces: Sequence[Piece]) -> "WeightFunctionJ":
-        return WeightFunctionJ(kind="piecewise_polynomial",
-                               pieces=tuple(pieces))
+        return WeightFunctionJ(pieces=tuple(pieces))
 
     @staticmethod
     def gini_order_statistic(n: int) -> "WeightFunctionJ":
@@ -75,7 +71,8 @@ class WeightFunctionJ:
 
     @property
     def is_zero(self) -> bool:
-        return not self.pieces
+        """J == 0: every piece has only zero coefficients."""
+        return not any(any(coeffs) for _, _, coeffs in self.pieces)
 
     @property
     def constant_value(self) -> Optional[float]:
@@ -88,10 +85,7 @@ class WeightFunctionJ:
         return None
 
     def __call__(self, t: float) -> float:
-        for lo, hi, coeffs in self.pieces:
-            if lo <= t < hi or (t == hi and (lo, hi, coeffs) == self.pieces[-1]):
-                return float(np.polyval(coeffs[::-1], t))
-        return 0.0
+        return float(self.eval_many(np.array([t]))[0])
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -145,7 +139,7 @@ class GLSpec:
         return None if self.discrete else self.weight.constant_value
 
 
-def gl_statistic(sample, spec: GLSpec, cap: int = DEFAULT_ENUM_CAP,
+def gl_statistic(sample, spec: GLSpec,
                  kvs: Optional[UDistribution] = None) -> float:
     """Evaluate T(H_n) in its exact discretized form.
 
@@ -157,10 +151,10 @@ def gl_statistic(sample, spec: GLSpec, cap: int = DEFAULT_ENUM_CAP,
     x = as_sample(sample)
     c = spec.linear_constant
     if c is not None:
-        return c * u_statistic(x, spec.kernel, cap=cap)
+        return c * u_statistic(x, spec.kernel)
     if kvs is None:
-        kvs = (u_distribution(x, spec.kernel, cap=cap) if spec.weight.is_zero
-               else kernel_values(x, spec.kernel, cap=cap))
+        kvs = (u_distribution(x, spec.kernel) if spec.weight.is_zero
+               else kernel_values(x, spec.kernel))
     total = 0.0
     if not spec.weight.is_zero:
         v = kvs.sorted_values

@@ -38,9 +38,6 @@ class KernelSpec:
         if self.m < 1:
             raise ValueError(f"kernel dimension must be >= 1, got {self.m}")
 
-    def __call__(self, args) -> float:
-        return eval_kernel(self, args)
-
 
 def eval_kernel(kernel: KernelSpec, args) -> float:
     """Evaluate ``kernel`` at an m-vector of finite reals.

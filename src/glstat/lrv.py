@@ -37,7 +37,6 @@ from .gl import GLSpec, gl_statistic
 # perfbench/tracing.py counts kernel rows by rebinding lrv.eval_kernel_rows
 from .kernels import KernelSpec, eval_kernel_rows  # noqa: F401
 from .ustat import (
-    DEFAULT_ENUM_CAP,
     MinPairwiseCounts,
     UDistribution,
     _g1_denominators,
@@ -129,20 +128,18 @@ def _weighted_autocov(g: np.ndarray, b: float) -> float:
 
 
 def lrv_ustat(sample, kernel: KernelSpec,
-              cfg: Optional[LrvConfig] = None,
-              cap: int = DEFAULT_ENUM_CAP) -> float:
+              cfg: Optional[LrvConfig] = None) -> float:
     """Long-run variance estimate for a U-statistic; the Bartlett window
     is positive semidefinite, so it is >= 0 up to rounding."""
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
-    g1 = g1_hat_all(x, kernel, normalization=cfg.normalization, cap=cap)
+    g1 = g1_hat_all(x, kernel, normalization=cfg.normalization)
     b = cfg.bandwidth.resolve(x.size)
     return _weighted_autocov(g1, b)
 
 
 def density_at_uquantile(sample, kernel: KernelSpec, p: float,
                          cfg: Optional[LrvConfig] = None,
-                         cap: int = DEFAULT_ENUM_CAP,
                          kvs: Optional[UDistribution] = None,
                          convention: str = "ceil") -> float:
     """Finite-difference density of H_n at the empirical U-quantile:
@@ -159,7 +156,7 @@ def density_at_uquantile(sample, kernel: KernelSpec, p: float,
         raise ValueError(f"p must be in (0, 1), got {p}")
     x = as_sample(sample)
     if kvs is None:
-        kvs = u_distribution(x, kernel, cap=cap)
+        kvs = u_distribution(x, kernel)
     xi = kvs.quantile(p, convention)
     iqr = kvs.quantile(0.75) - kvs.quantile(0.25)
     delta = cfg.density_halfwidth_c * iqr * x.size ** (-0.2)
@@ -219,35 +216,30 @@ class PluginContext:
         return out
 
 
-def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
-                 cap: int = DEFAULT_ENUM_CAP,
-                 kvs: Optional[UDistribution] = None) -> PluginContext:
+def build_plugin(sample, spec: GLSpec,
+                 cfg: Optional[LrvConfig] = None) -> PluginContext:
     """Materialize every empirical surrogate A needs, and the estimate
     T(H_n) from the same H_n.  The estimate is always computed: for a
     non-linear spec that is one gl_statistic pass over H_n, even for
     callers that read only A.
 
-    A linear spec (``spec.linear_constant``) needs only U_n, so neither
-    ``kvs`` nor H_n is used.  A spec with J == 0 needs only quantiles
-    and H_n(t) (``u_distribution``: counted for the built-in
-    min-pairwise kernel); other specs need the sorted kernel values.
-    ``cap`` bounds enumeration only, which neither a linear spec on a
-    kernel with a closed form (see glstat.ustat) nor a J == 0 spec on
-    the built-in min-pairwise kernel needs.
+    A linear spec (``spec.linear_constant``) needs only U_n, not H_n.
+    A spec with J == 0 needs only quantiles and H_n(t)
+    (``u_distribution``: counted for the built-in min-pairwise kernel);
+    other specs need the sorted kernel values.
     """
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
     c = spec.linear_constant
     if c is not None:
         # A(v) = c (v - U_n) and T = c U_n: no H_n, quantiles or densities
-        u = u_statistic(x, spec.kernel, cap=cap)
+        u = u_statistic(x, spec.kernel)
         return PluginContext(
             kvs=None, spec=spec, estimate=c * u, u_n=u, quantiles=(),
             densities=(), _suffix=np.zeros(0), _k0=0.0,
             _j_steps=np.zeros(0))
-    if kvs is None:
-        kvs = (u_distribution(x, spec.kernel, cap=cap) if spec.weight.is_zero
-               else kernel_values(x, spec.kernel, cap=cap))
+    kvs = (u_distribution(x, spec.kernel) if spec.weight.is_zero
+           else kernel_values(x, spec.kernel))
     suffix = j_steps = np.zeros(0)
     k0 = 0.0
     if not spec.weight.is_zero:
@@ -268,17 +260,25 @@ def build_plugin(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
     qs, ds = [], []
     for _, p in spec.discrete:
         qs.append(kvs.quantile(p, conv))
-        ds.append(density_at_uquantile(x, spec.kernel, p, cfg, cap=cap,
-                                       kvs=kvs, convention=conv))
+        ds.append(density_at_uquantile(x, spec.kernel, p, cfg, kvs=kvs,
+                                       convention=conv))
     return PluginContext(kvs=kvs, spec=spec,
-                         estimate=gl_statistic(x, spec, cap=cap, kvs=kvs),
+                         estimate=gl_statistic(x, spec, kvs=kvs),
                          u_n=None, quantiles=tuple(qs), densities=tuple(ds),
                          _suffix=suffix, _k0=k0, _j_steps=j_steps)
 
 
-def _project_a(sample, spec: GLSpec, plugin: PluginContext, at,
-               normalization: str) -> np.ndarray:
-    """Ahat_1 at the points ``at`` (None: every sample point)."""
+def a1_hat_all(sample, spec: GLSpec,
+               plugin: Optional[PluginContext] = None,
+               normalization: str = "combinatorial",
+               at=None) -> np.ndarray:
+    """Ahat_1, the empirical first Hoeffding projection of A o h, at the
+    points ``at`` (default: every sample point), with the normalization
+    modes of glstat.ustat.project.  ``plugin`` defaults to
+    ``build_plugin(sample, spec)``; pass one built with an LrvConfig for
+    another density half-width."""
+    if plugin is None:
+        plugin = build_plugin(sample, spec)
     x = as_sample(sample)
     n, m = x.size, spec.kernel.m
     d1, d2 = _g1_denominators(n, m, normalization)
@@ -305,29 +305,6 @@ def _project_a(sample, spec: GLSpec, plugin: PluginContext, at,
             - total / d2)
 
 
-def a1_hat(sample, spec: GLSpec, x: float,
-           plugin: Optional[PluginContext] = None,
-           normalization: str = "combinatorial",
-           cfg: Optional[LrvConfig] = None,
-           cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Ahat_1(x): the empirical first Hoeffding projection of A o h at
-    ``x``, sharing the normalization modes of glstat.ustat.project."""
-    if plugin is None:
-        plugin = build_plugin(sample, spec, cfg, cap=cap)
-    return float(_project_a(sample, spec, plugin, [x], normalization)[0])
-
-
-def a1_hat_all(sample, spec: GLSpec,
-               plugin: Optional[PluginContext] = None,
-               normalization: str = "combinatorial",
-               cfg: Optional[LrvConfig] = None,
-               cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """Ahat_1 at every sample point."""
-    if plugin is None:
-        plugin = build_plugin(sample, spec, cfg, cap=cap)
-    return _project_a(sample, spec, plugin, None, normalization)
-
-
 @dataclass(frozen=True)
 class GLVarianceReport:
     """Long-run variance estimate for a GL-statistic, with diagnostics.
@@ -345,19 +322,14 @@ class GLVarianceReport:
 
 
 def lrv_gl(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
-           cap: int = DEFAULT_ENUM_CAP,
            plugin: Optional[PluginContext] = None) -> GLVarianceReport:
-    """Long-run variance of a GL-statistic via Ahat_1.
-
-    ``cap`` bounds enumeration only: a linear spec with the built-in
-    Gini kernel runs in O(n log n) at any n.
-    """
+    """Long-run variance of a GL-statistic via Ahat_1; a linear spec
+    with the built-in Gini kernel runs in O(n log n) at any n."""
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
     if plugin is None:
-        plugin = build_plugin(x, spec, cfg, cap=cap)
-    a1 = a1_hat_all(x, spec, plugin=plugin, normalization=cfg.normalization,
-                    cap=cap)
+        plugin = build_plugin(x, spec, cfg)
+    a1 = a1_hat_all(x, spec, plugin=plugin, normalization=cfg.normalization)
     b = cfg.bandwidth.resolve(x.size)
     raw = _weighted_autocov(a1, b)
     clamped = raw < 0.0
@@ -376,20 +348,16 @@ def lrv_gl(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
 
 def gl_confidence_interval(sample, spec: GLSpec,
                            cfg: Optional[LrvConfig] = None,
-                           level: float = 0.95,
-                           cap: int = DEFAULT_ENUM_CAP) -> Tuple[float, float]:
-    """CLT interval T(H_n) +/- z_{(1+level)/2} * m * sigma_hat_GL / sqrt(n).
-
-    ``cap`` bounds enumeration only: a linear spec with the built-in
-    Gini kernel (``gini_gl_spec()``) runs in O(n log n) at any n.
-    """
+                           level: float = 0.95) -> Tuple[float, float]:
+    """CLT interval T(H_n) +/- z_{(1+level)/2} * m * sigma_hat_GL / sqrt(n);
+    ``gini_gl_spec()`` runs in O(n log n) at any n."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
-    plugin = build_plugin(x, spec, cfg, cap=cap)
+    plugin = build_plugin(x, spec, cfg)
     t = plugin.estimate
-    report = lrv_gl(x, spec, cfg, cap=cap, plugin=plugin)
+    report = lrv_gl(x, spec, cfg, plugin=plugin)
     z = float(norm.ppf(0.5 * (1.0 + level)))
     half = z * sqrt(report.m2_sigma2_gl / x.size)
     return (t - half, t + half)

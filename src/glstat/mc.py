@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.stats import kurtosis, norm, skew
 
-from .errors import CapacityError, DegenerateVarianceError, GlstatError
+from .errors import DegenerateVarianceError, GlstatError
 from .gl import (
     estimator_c,
     estimator_gini,
@@ -118,10 +118,6 @@ class EstimatorConfig:
             return "q_sub"
         return self.name
 
-    def min_n(self) -> int:
-        return {"gini": 2, "gini_os": 2, "q": self.m, "lms": 2,
-                "c": floor(self.alpha * 2) + 2}.get(self.name, 2)
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -169,8 +165,9 @@ class ExperimentConfig:
     ci_level: float = 0.95
 
     def __post_init__(self):
-        if self.replications < 2:
-            raise ValueError("need at least 2 replications")
+        # the normality summary of each cell needs 4 estimates
+        if self.replications < 4:
+            raise ValueError("need at least 4 replications")
         # labels key the cells, the report file names and the RNG streams
         labels = [e.label for e in self.estimators]
         for label in labels:
@@ -391,8 +388,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _run_cell(config: ExperimentConfig, est: EstimatorConfig, n: int,
               cell: CellResult) -> None:
-    if n < est.min_n():
-        raise CapacityError(f"n = {n} below estimator minimum {est.min_n()}")
     r = config.replications
     estimates = np.empty(r)
     want_ci = config.lrv is not None and est.name in ("gini", "gini_os")

@@ -1,9 +1,10 @@
 """U-statistics, the empirical U-distribution, U-quantiles and the
 empirical first Hoeffding projection.
 
-Operations enumerate the C(n, m) index subsets exactly (subject to a
-capacity cap), except where a catalog kernel, recognized by identity,
-has a closed form over the sorted sample:
+Operations enumerate the C(n, m) index subsets exactly, at most
+``ENUM_CAP`` of them (else CapacityError), except where a catalog
+kernel, recognized by identity, has a closed form over the sorted
+sample:
 
     kernel                U_n, tail sums, g1_hat          H_n
     gini_abs_diff         prefix sums, O(n log n)         enumerated
@@ -32,7 +33,7 @@ from .errors import CapacityError, InsufficientDataError
 from .kernels import (GINI_ABS_DIFF, MIN_PAIRWISE, RANGE, KernelSpec,
                       eval_kernel_rows)
 
-DEFAULT_ENUM_CAP = 10 ** 8
+ENUM_CAP = 10 ** 8
 
 
 def as_sample(values) -> np.ndarray:
@@ -287,12 +288,12 @@ def _blocks(n: int, width: int):
 
 
 def _capped_sums(xs: np.ndarray, ref: np.ndarray,
-                 cap: np.ndarray) -> np.ndarray:
-    """sum over l of min(cap, max(xs[l] - ref, 0)), for one ref per row of
-    the grid cap >= 0.  Each term is a gap the kernel computes itself.
-    The gaps of a row, nondecreasing, are below cap up to a position p;
+                 limit: np.ndarray) -> np.ndarray:
+    """sum over l of min(limit, max(xs[l] - ref, 0)), for one ref per row of
+    the grid limit >= 0.  Each term is a gap the kernel computes itself.
+    The gaps of a row, nondecreasing, are below limit up to a position p;
     the gaps before p are added up from their cumulative sums (all >= 0,
-    so nothing cancels) and the n - p others score cap each."""
+    so nothing cancels) and the n - p others score limit each."""
     n, w = xs.size, xs.size + 2
     # per row: gaps[l] at column l + 1, between -inf and +inf sentinels,
     # and the sum of the gaps before p at column p
@@ -301,16 +302,16 @@ def _capped_sums(xs: np.ndarray, ref: np.ndarray,
     np.maximum(xs - ref, 0.0, out=gaps[:, 1:-1])
     runs = np.zeros((ref.size, w))
     np.cumsum(gaps[:, 1:-1], axis=1, out=runs[:, 1:-1])
-    # ref + cap rounds, so p is checked against the gaps themselves, and a
+    # ref + limit rounds, so p is checked against the gaps themselves, and a
     # row where it is off (a value within rounding of the boundary) is
-    # searched again; a gap equal to cap may fall on either side
-    p = np.searchsorted(xs, ref + cap)
+    # searched again; a gap equal to limit may fall on either side
+    p = np.searchsorted(xs, ref + limit)
     at = np.arange(ref.size)[:, None] * w + p
-    off = (np.take(gaps, at) > cap) | (np.take(gaps, at + 1) < cap)
+    off = (np.take(gaps, at) > limit) | (np.take(gaps, at + 1) < limit)
     for r in np.flatnonzero(off.any(axis=1)):
-        p[r] = np.searchsorted(gaps[r, 1:-1], cap[r])
+        p[r] = np.searchsorted(gaps[r, 1:-1], limit[r])
         at[r] = r * w + p[r]
-    return np.take(runs, at) + (n - p) * cap
+    return np.take(runs, at) + (n - p) * limit
 
 
 def _pairs_above(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -410,17 +411,17 @@ def _closed_form(kernel: KernelSpec):
     return None
 
 
-def _enumerate(x: np.ndarray, kernel: KernelSpec, cap: int) -> np.ndarray:
+def _enumerate(x: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     """The C(n, m) kernel values of a validated sample, unsorted.
 
-    Raises CapacityError when the enumeration would exceed ``cap``.
+    Raises CapacityError when they would exceed ``ENUM_CAP``.
     """
     n, m = x.size, kernel.m
     _require_n(x, m)
     N = comb(n, m)
-    if N > cap:
+    if N > ENUM_CAP:
         raise CapacityError(
-            f"C({n},{m}) = {N} kernel evaluations exceed the cap {cap}; "
+            f"C({n},{m}) = {N} kernel evaluations exceed the cap {ENUM_CAP}; "
             "use subsampling (glstat.mc) or a closed-form fast path"
         )
     if m == 1:
@@ -435,20 +436,18 @@ def _enumerate(x: np.ndarray, kernel: KernelSpec, cap: int) -> np.ndarray:
     return eval_kernel_rows(kernel, rows)
 
 
-def kernel_values(sample, kernel: KernelSpec,
-                  cap: int = DEFAULT_ENUM_CAP) -> KernelValueSet:
+def kernel_values(sample, kernel: KernelSpec) -> KernelValueSet:
     """Materialize all C(n, m) kernel evaluations, sorted.
 
-    Raises CapacityError when the enumeration would exceed ``cap``; for
-    large n use the subsampled mode of the Monte Carlo harness instead.
+    Raises CapacityError when they would exceed ``ENUM_CAP``; for large
+    n use the subsampled mode of the Monte Carlo harness instead.
     """
     x = as_sample(sample)
-    return KernelValueSet(sorted_values=np.sort(_enumerate(x, kernel, cap)),
+    return KernelValueSet(sorted_values=np.sort(_enumerate(x, kernel)),
                           n=x.size, m=kernel.m)
 
 
-def u_statistic(sample, kernel: KernelSpec,
-                cap: int = DEFAULT_ENUM_CAP) -> float:
+def u_statistic(sample, kernel: KernelSpec) -> float:
     """Mean of the kernel over all C(n, m) index subsets; from the sorted
     sample for a kernel with a closed form (see _closed_form), otherwise
     by enumeration.  For ``GINI_ABS_DIFF`` this is the order-statistic
@@ -461,35 +460,32 @@ def u_statistic(sample, kernel: KernelSpec,
     closed = _closed_form(kernel)
     if closed is not None:
         return closed[1](np.sort(x))
-    return float(np.mean(_enumerate(x, kernel, cap)))
+    return float(np.mean(_enumerate(x, kernel)))
 
 
 # H_n as sorted kernel values or as counts; both have cdf and quantile
 UDistribution = Union[KernelValueSet, MinPairwiseCounts]
 
 
-def u_distribution(sample, kernel: KernelSpec,
-                   cap: int = DEFAULT_ENUM_CAP) -> UDistribution:
+def u_distribution(sample, kernel: KernelSpec) -> UDistribution:
     """H_n for ``cdf`` and ``quantile``: counted for a built-in
     min-pairwise kernel (by identity, not by name), otherwise the
-    sorted kernel values.  ``cap`` bounds enumeration only."""
+    sorted kernel values."""
     x = as_sample(sample)
     if MIN_PAIRWISE.get(kernel.m) is kernel:
         return MinPairwiseCounts(x, kernel.m)
-    return kernel_values(x, kernel, cap=cap)
+    return kernel_values(x, kernel)
 
 
-def empirical_u_cdf(sample, kernel: KernelSpec, t: float,
-                    cap: int = DEFAULT_ENUM_CAP) -> float:
+def empirical_u_cdf(sample, kernel: KernelSpec, t: float) -> float:
     """H_n(t), the empirical U-distribution function."""
-    return u_distribution(sample, kernel, cap=cap).cdf(t)
+    return u_distribution(sample, kernel).cdf(t)
 
 
 def u_quantile(sample, kernel: KernelSpec, p: float,
-               convention: str = "ceil",
-               cap: int = DEFAULT_ENUM_CAP) -> float:
+               convention: str = "ceil") -> float:
     """H_n^{-1}(p); see _rank for the conventions."""
-    return u_distribution(sample, kernel, cap=cap).quantile(p, convention)
+    return u_distribution(sample, kernel).quantile(p, convention)
 
 
 def empirical_cdf(sample, x: float) -> float:
@@ -550,8 +546,7 @@ def tail_sums(x: np.ndarray, kernel: KernelSpec,
 
 
 def project(sample, kernel: KernelSpec, at=None,
-            normalization: str = "combinatorial",
-            cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+            normalization: str = "combinatorial") -> np.ndarray:
     """Empirical first Hoeffding projection of h at the points ``at``
     (default: every sample point).
 
@@ -570,15 +565,14 @@ def project(sample, kernel: KernelSpec, at=None,
     _require_n(x, m)
     d1, d2 = _g1_denominators(n, m, normalization)
     pts = x if at is None else as_sample(at)
-    total = comb(n, m) * u_statistic(x, kernel, cap=cap)
+    total = comb(n, m) * u_statistic(x, kernel)
     return tail_sums(x, kernel, None, pts) / d1 - total / d2
 
 
 def g1_hat_all(sample, kernel: KernelSpec,
-               normalization: str = "combinatorial",
-               cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+               normalization: str = "combinatorial") -> np.ndarray:
     """ghat_1 evaluated at every sample point; see project."""
-    return project(sample, kernel, normalization=normalization, cap=cap)
+    return project(sample, kernel, normalization=normalization)
 
 
 # --- population Hoeffding decomposition (finite support, oracle) ----------
@@ -609,7 +603,6 @@ class PopulationHoeffding:
 def hoeffding_decompose_population(
     support_probs: Sequence[Tuple[float, float]],
     kernel: KernelSpec,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> PopulationHoeffding:
     """Exhaustive Hoeffding decomposition over a finite discrete law.
 
@@ -627,8 +620,8 @@ def hoeffding_decompose_population(
         raise ValueError("support values must be distinct")
     m = kernel.m
     s = len(support)
-    if s ** m > cap:
-        raise CapacityError(f"{s}^{m} enumeration exceeds cap {cap}")
+    if s ** m > ENUM_CAP:
+        raise CapacityError(f"{s}^{m} enumeration exceeds cap {ENUM_CAP}")
 
     def cond_mean(prefix: Tuple[float, ...]) -> float:
         """E h(prefix, Y_{k+1}, ..., Y_m)."""

@@ -250,6 +250,13 @@ def test_experiment_command_rejects_duplicate_labels(tmp_path, capsys):
                     "--out", str(out)]) == 1
     assert "duplicate estimator label 'q_sub'" in capsys.readouterr().err
     assert not out.exists()
+    # every cell's normality summary needs 4 replications
+    cfg.update(estimators=[q_sub], replications=3)
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(out)]) == 1
+    assert "need at least 4 replications" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):

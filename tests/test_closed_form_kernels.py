@@ -114,16 +114,16 @@ def test_closed_forms_match_enumeration(raw, case, shape, at, seed):
         s = tail_sums(x, fast, None, x)
         close(s, slow_s, floor * x.size)
         close(tail_sums(x, fast, None, pts), slow_at, floor * x.size)
-        u = u_statistic(x, fast, cap=0)
+        u = u_statistic(x, fast)
         close(u, slow_u, floor)
     for norm in NORMS:
         cfg = LrvConfig(normalization=norm)
         slow_g1 = g1_hat_all(x, enum, normalization=norm)
         slow_lrv = lrv_ustat(x, enum, cfg)
         with no_enumeration():
-            close_centred(g1_hat_all(x, fast, normalization=norm, cap=0),
+            close_centred(g1_hat_all(x, fast, normalization=norm),
                           slow_g1, floor)
-            close(lrv_ustat(x, fast, cfg, cap=0), slow_lrv, floor ** 2)
+            close(lrv_ustat(x, fast, cfg), slow_lrv, floor ** 2)
 
     # permutation: U_n stays, the tail sums and projections follow their
     # points

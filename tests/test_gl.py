@@ -16,6 +16,7 @@ from glstat import (
     estimator_lms,
     estimator_q,
     gini_gl_spec,
+    gl_confidence_interval,
     gl_statistic,
     j_integral,
     lms_constant,
@@ -77,6 +78,15 @@ def test_gl_q_spec_matches_estimator_q():
     for n in (4, 8, 15):
         x = rng.standard_normal(n)
         assert gl_statistic(x, q_gl_spec()) == estimator_q(x)
+    # J written as the constant 0 is J == 0: Q is counted, not
+    # enumerated (C(900, 3) exceeds the enumeration bound)
+    x = np.random.default_rng(1).standard_normal(900)
+    q = q_gl_spec(m=3)
+    zero_j = GLSpec(kernel=q.kernel, weight=WeightFunctionJ.constant(0.0),
+                    discrete=q.discrete,
+                    quantile_convention=q.quantile_convention)
+    assert gl_statistic(x, zero_j) == estimator_q(x)
+    assert gl_confidence_interval(x, zero_j) == gl_confidence_interval(x, q)
 
 
 def test_gl_c_spec_matches_estimator_c_when_index_is_one():

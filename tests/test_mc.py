@@ -284,12 +284,19 @@ def test_coverage_computed_for_gini_with_lrv(tmp_path):
 
 
 def test_degenerate_cell_is_recorded_not_raised():
-    # n below the estimator minimum is a recorded per-cell error
-    cfg = small_config(estimators=(EstimatorConfig(name="q", m=3),),
+    # n below the estimator minimum is a recorded per-cell error, the
+    # estimator's own
+    cfg = small_config(estimators=(EstimatorConfig(name="q", m=3),
+                                   EstimatorConfig(name="q", m=3,
+                                                   subsample=1000)),
                        sample_sizes=(2,), replications=5)
     report = run_experiment(cfg)
     cell = report.cells[("q", 2)]
-    assert cell.error is not None and "CapacityError" in cell.error
+    assert cell.error is not None and "InsufficientDataError" in cell.error
+    assert cell.estimates is None
+    cell = report.cells[("q_sub", 2)]
+    assert cell.error == ("DegenerateVarianceError: no distinct index "
+                          "subsets drawn")
     assert cell.estimates is None
 
 

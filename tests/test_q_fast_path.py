@@ -23,7 +23,6 @@ from glstat import (
     GLSpec,
     KernelValueSet,
     LrvConfig,
-    a1_hat,
     a1_hat_all,
     build_plugin,
     builtin_kernel,
@@ -118,8 +117,9 @@ def test_counted_route_matches_enumeration(raw, m, shape, alpha, t, seed):
         close_centred(a1_hat_all(x, fast_spec, normalization=norm),
                       a1_hat_all(x, enum_spec, normalization=norm), floor)
         # at a point that need not be in the sample
-        close_centred(a1_hat(x, fast_spec, t, normalization=norm),
-                      a1_hat(x, enum_spec, t, normalization=norm), floor)
+        close_centred(a1_hat_all(x, fast_spec, normalization=norm, at=[t])[0],
+                      a1_hat_all(x, enum_spec, normalization=norm, at=[t])[0],
+                      floor)
         close(lrv_gl(x, fast_spec, cfg).sigma2_raw,
               lrv_gl(x, enum_spec, cfg).sigma2_raw, floor ** 2)
         close(gl_confidence_interval(x, fast_spec, cfg),

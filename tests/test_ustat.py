@@ -215,9 +215,10 @@ def test_population_hoeffding_degeneracy():
 
 
 def test_capacity_error():
-    x = np.zeros(100)
+    # C(845, 3) exceeds the enumeration bound of 10^8
+    x = np.zeros(845)
     with pytest.raises(CapacityError):
-        kernel_values(x, MINP3, cap=1000)
+        kernel_values(x, MINP3)
 
 
 def test_insufficient_data():
