@@ -42,19 +42,18 @@ from .processes import make_rng
 
 
 def read_series(path) -> np.ndarray:
-    """Single-column CSV, with or without an 'x' header."""
-    values = []
+    """Single-column CSV, with or without an 'x' header on the first row.
+    Blank rows and blank first fields are skipped; other columns are
+    ignored."""
     with open(path, "r", encoding="utf-8") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row or not row[0].strip():
-                continue
-            cell = row[0].strip()
-            if i == 0 and cell.lower() == "x":
-                continue
-            values.append(float(cell))
-    if not values:
+        values = np.fromiter(
+            (float(cell) for i, row in enumerate(csv.reader(fh))
+             if row and (cell := row[0].strip())
+             and (i or cell.lower() != "x")),
+            dtype=float)
+    if not values.size:
         raise GlstatError(f"no data in {path}")
-    return np.array(values)
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -25,7 +25,7 @@ only through 1[h <= xi_hat], so Ahat_1 comes from counts of H_n
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, sqrt
+from math import comb, isfinite, sqrt
 from typing import Optional, Tuple
 
 import numpy as np
@@ -89,10 +89,13 @@ class BandwidthPolicy:
 
     def resolve(self, n: int) -> float:
         """b_n for sample size n; a policy built from a config dict skips
-        the constructors' checks, so b_n > 0 is checked here."""
+        the constructors' checks, so their rules are checked here: a
+        power law's exponent in (0, 1/2), and b_n > 0 and finite."""
         if self.kind == "fixed":
             b = self.b
         elif self.kind == "power_law":
+            if not 0 < self.e < 0.5:
+                raise ValueError("power law needs c > 0 and 0 < e < 1/2")
             b = self.c * n ** self.e
         elif self.kind == "auto":
             b = float(default_bandwidth(n))
@@ -100,6 +103,8 @@ class BandwidthPolicy:
             raise ValueError(f"unknown bandwidth policy {self.kind!r}")
         if not b > 0:
             raise ValueError(f"bandwidth must be > 0, got {b}")
+        if not isfinite(b):
+            raise ValueError(f"bandwidth must be finite, got {b}")
         return b
 
 

@@ -95,42 +95,66 @@ def _rank(p: float, N: int, convention: str) -> int:
     return min(max(k, 1), N)
 
 
-def _first_false(pred: Callable[[np.ndarray], np.ndarray],
-                 lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _first_false(pred: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 lo: np.ndarray, hi: np.ndarray,
+                 guess: np.ndarray) -> np.ndarray:
     """Per entry e, the first index i in [lo[e], hi[e]) where pred is
     False (hi[e] if none), for a pred that is True on a prefix of each
-    range.  pred maps an array of one index per entry to booleans.
-    Binary lifting: all entries take the same log2(max width) steps."""
-    pos = lo.copy()
-    width = int((hi - lo).max(initial=0))
-    step = 1 << (width.bit_length() - 1) if width else 0
-    while step:
-        nxt = pos + step
-        ok = nxt <= hi
-        ok &= pred(np.minimum(nxt, hi) - 1)
-        pos += step * ok
-        step >>= 1
+    range.  pred(e, i) maps entries e (an index array, or a slice
+    for all of them) and one index per entry to booleans.
+
+    ``guess``, clipped to the range, stands for an entry where pred
+    confirms it: True just before it and False at it.  Any other entry
+    lies on one side of its guess, and only that side is searched, by
+    binary lifting: all such entries take the same log2(max width)
+    steps.  So a guess decides only how much work is done, never the
+    result."""
+    pos = np.minimum(np.maximum(guess, lo), hi)
+    every = slice(None)
+    # where an index is out of range its test is masked off
+    over = ~pred(every, np.maximum(pos - 1, 0)) & (pos > lo)
+    under = pred(every, np.minimum(pos, hi - 1)) & (pos < hi)
+    e = np.flatnonzero(over | under)
+    if e.size:
+        below = over[e]  # the first False lies before the guess
+        a = np.where(below, lo[e], pos[e] + 1)
+        b = np.where(below, pos[e] - 1, hi[e])
+        width = int((b - a).max())
+        step = 1 << (width.bit_length() - 1) if width else 0
+        while step:
+            nxt = a + step
+            ok = nxt <= b
+            ok &= pred(e, np.minimum(nxt, b) - 1)
+            a += step * ok
+            step >>= 1
+        pos[e] = a
     return pos
 
 
 def _clear_below(xs: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     """#{p : pts - xs[p] > t} per point, for sorted xs and t >= 0: the
-    p form a prefix, found by bisection with the kernel's subtraction."""
-    return _first_false(lambda p: pts - xs[p] > t,
+    p form a prefix, guessed by searchsorted on pts - t and confirmed
+    with the kernel's subtraction."""
+    return _first_false(lambda e, p: pts[e] - xs[p] > t,
                         np.zeros(pts.size, dtype=np.int64),
-                        np.full(pts.size, xs.size, dtype=np.int64))
+                        np.full(pts.size, xs.size, dtype=np.int64),
+                        np.searchsorted(xs, pts - t))
 
 
-def _chain_prefixes(xs: np.ndarray, m: int, t: float) -> List[np.ndarray]:
-    """pre[k][j] = number of k-chains of sorted positions, consecutive
-    gaps > t, inside the first j positions of xs, for k = 1..m (pre[0]
-    is unused).  Each length comes from the last by one prefix sum."""
+def _chain_prefixes(xs: np.ndarray, m: int, t: float) -> np.ndarray:
+    """pre[k, j] = number of k-chains of sorted positions, consecutive
+    gaps > t, inside the first j positions of xs, for k = 1..m (row 0
+    is unused).  The 2-chains ending at j are the ends[j] positions
+    clear below it; each longer length comes from the last by one
+    prefix sum."""
+    n = xs.size
     ends = _clear_below(xs, xs, t)
-    pre = [None]
-    f = np.ones(xs.size, dtype=np.int64)  # chains ending at each position
-    for _ in range(m):
-        pre.append(np.concatenate(([0], np.cumsum(f))))
-        f = pre[-1][ends]
+    pre = np.zeros((m + 1, n + 1), dtype=np.int64)
+    pre[1] = np.arange(n + 1)
+    f = ends  # k-chains ending at each position, from k = 2
+    for k in range(2, m + 1):
+        np.cumsum(f, out=pre[k, 1:])
+        f = pre[k][ends]
     return pre
 
 
@@ -143,7 +167,11 @@ class MinPairwiseCounts:
     positions a_1 < ... < a_m whose consecutive gaps xs[b] - xs[a] all
     exceed t.  Gaps are tested with that floating-point subtraction, the
     one the kernel performs, so every count, H_n(t) and U-quantile
-    equals the enumerated one.  Memory is O(n m); counts are exact
+    equals the enumerated one.  Each boundary (the last position clear
+    below a point, a row's first column past a pivot) is guessed by
+    searchsorted on a rounded bound such as pts - t, and the guess is
+    kept only where that subtraction confirms it; the entries it misses
+    are bisected (see _first_false).  Memory is O(n m); counts are exact
     int64, and samples whose counts could overflow raise CapacityError.
     ``cdf`` and ``quantile`` have the semantics of KernelValueSet's.
     """
@@ -165,7 +193,7 @@ class MinPairwiseCounts:
         Every kernel value is >= 0, so t < 0 counts none."""
         if t < 0:
             return 0
-        return self.size - int(_chain_prefixes(self.xs, self.m, t)[-1][-1])
+        return self.size - int(_chain_prefixes(self.xs, self.m, t)[-1, -1])
 
     def cdf(self, t: float) -> float:
         """H_n(t): fraction of kernel values <= t (right-continuous)."""
@@ -231,9 +259,11 @@ class MinPairwiseCounts:
             pivot = float(med[order[np.searchsorted(cum, cum[-1] / 2)]])
             if self.count_le(pivot) >= k:
                 best = pivot
-                hi = _first_false(lambda b: xs[b] - xs < pivot, lo, hi)
+                hi = _first_false(lambda a, b: xs[b] - xs[a] < pivot, lo, hi,
+                                  np.searchsorted(xs, xs + pivot))
             else:
-                lo = _first_false(lambda b: xs[b] - xs <= pivot, lo, hi)
+                lo = _first_false(lambda a, b: xs[b] - xs[a] <= pivot, lo, hi,
+                                  np.searchsorted(xs, xs + pivot, "right"))
         cnt = hi - lo
         rows = np.repeat(np.arange(n), cnt)
         cols = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
@@ -558,15 +588,22 @@ def project(sample, kernel: KernelSpec, at=None,
     sums run over the full sample and do not exclude any index whose
     value equals x.  The inner sums come from tail_sums and the outer
     sum is C(n, m) U_n, so a kernel with a closed form enumerates no
-    kernel value.
+    kernel value.  For the built-in min-pairwise kernel at the sample
+    points, a tail holding the point itself scores 0, so the tail sums
+    count every m-subset once per member and the outer sum is their
+    total over m.
     """
     x = as_sample(sample)
     n, m = x.size, kernel.m
     _require_n(x, m)
     d1, d2 = _g1_denominators(n, m, normalization)
     pts = x if at is None else as_sample(at)
-    total = comb(n, m) * u_statistic(x, kernel)
-    return tail_sums(x, kernel, None, pts) / d1 - total / d2
+    tails = tail_sums(x, kernel, None, pts)
+    if at is None and kernel is MIN_PAIRWISE.get(m):
+        total = float(np.sum(tails)) / m
+    else:
+        total = comb(n, m) * u_statistic(x, kernel)
+    return tails / d1 - total / d2
 
 
 def g1_hat_all(sample, kernel: KernelSpec,

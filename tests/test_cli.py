@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from min_pairwise_oracle import q_interval
 
-from glstat import builtin_kernel
+from glstat import GlstatError, builtin_kernel
 from glstat.cli import read_series, run_cli
 from glstat.ustat import tail_sums
 
@@ -24,6 +24,21 @@ def test_read_series_with_and_without_header(tmp_path):
     q = tmp_path / "b.csv"
     q.write_text("1.0\n2.5\n\n")
     np.testing.assert_array_equal(read_series(q), [1.0, 2.5])
+    # the header is case-insensitive and stripped; blank rows and blank
+    # first fields are skipped; quoted fields and extra columns go
+    # through csv; float() parses each cell
+    r = tmp_path / "c.csv"
+    r.write_text(' X \n\n1e3, 7\n ,9\n"-0.5",a,b\n" 4 "\n')
+    np.testing.assert_array_equal(read_series(r), [1000.0, -0.5, 4.0])
+    # an x counts as the header only on the first row
+    for text in ("1.0\nx\n", "\nx\n1.0\n"):
+        r.write_text(text)
+        with pytest.raises(ValueError):
+            read_series(r)
+    for text in ("", "x\n", "\n , \n"):
+        r.write_text(text)
+        with pytest.raises(GlstatError, match="no data"):
+            read_series(r)
 
 
 def test_estimate_gini(three_csv, capsys):
@@ -281,6 +296,10 @@ def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):
     assert run_cli(["lrv", "--estimator", "gini", "--input", three_csv,
                     "--bandwidth", "nan"]) == 1
     assert "bandwidth must be > 0" in capsys.readouterr().err
+    # nor an infinite one, which would weight every lag 1
+    assert run_cli(["lrv", "--estimator", "gini", "--input", three_csv,
+                    "--bandwidth", "inf"]) == 1
+    assert "bandwidth must be finite" in capsys.readouterr().err
     # a config dict skips the policy constructors; the cells record the error
     cfg["lrv"] = {"weight": "bartlett", "bandwidth": {"kind": "fixed", "b": -3}}
     cfg_path.write_text(json.dumps(cfg))
@@ -288,6 +307,15 @@ def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):
                     "--out", str(tmp_path / "neg")]) == 0
     assert ("gini n=25: ValueError: bandwidth must be > 0, got -3"
             in capsys.readouterr().out)
+    for bw, err in (({"kind": "power_law", "c": 1, "e": 0.9},
+                     "power law needs c > 0 and 0 < e < 1/2"),
+                    ({"kind": "fixed", "b": float("inf")},
+                     "bandwidth must be finite, got inf")):
+        cfg["lrv"] = {"weight": "bartlett", "bandwidth": bw}
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["experiment", "--config", str(cfg_path),
+                        "--out", str(tmp_path / bw["kind"])]) == 0
+        assert f"gini n=25: ValueError: {err}" in capsys.readouterr().out
 
 
 def test_exit_code_2_on_usage_error(three_csv):

@@ -50,6 +50,14 @@ def test_bandwidth_policies():
                 BandwidthPolicy(kind="power_law", c=-1.0)):
         with pytest.raises(ValueError, match="bandwidth must be > 0"):
             bad.resolve(100)
+    # and so are the power law's exponent and a finite b_n
+    with pytest.raises(ValueError, match="0 < e < 1/2"):
+        BandwidthPolicy(kind="power_law", c=1.0, e=0.9).resolve(1000)
+    for bad in (BandwidthPolicy(kind="fixed", b=float("inf")),
+                BandwidthPolicy.fixed(float("inf")),
+                BandwidthPolicy(kind="power_law", c=float("inf"))):
+        with pytest.raises(ValueError, match="bandwidth must be finite"):
+            bad.resolve(1000)
 
 
 def test_lrv_ustat_two_point_example():

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from min_pairwise_oracle import Triples
 
 from glstat import (
     DegenerateDensityError,
@@ -35,7 +36,8 @@ from glstat import (
     q_gl_spec,
     u_quantile,
 )
-from glstat.ustat import MinPairwiseCounts, u_distribution
+from glstat.ustat import (MinPairwiseCounts, _clear_below, _rank,
+                          u_distribution)
 
 ENUM = {m: custom_kernel(
     "min_pairwise", m, lambda a: float(np.min(np.diff(np.sort(a)))),
@@ -132,3 +134,38 @@ def test_counted_route_matches_enumeration(raw, m, shape, alpha, t, seed):
         close_centred(a1_hat_all(x[perm], fast_spec, normalization=norm),
                       a1_hat_all(x, fast_spec, normalization=norm)[perm],
                       floor)
+
+
+def gaps_and_neighbours(xs):
+    """Every gap xs[b] - xs[a] (a < b) that is >= 0, and its neighbours
+    one ulp away: thresholds where a rounded searchsorted bound misses."""
+    d = np.unique(xs[None, :] - xs[:, None])
+    t = np.concatenate((d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf)))
+    return np.unique(t[t >= 0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(raw=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=40),
+       decimals=st.sampled_from([1, 2]),
+       outside=st.lists(st.floats(-30.0, 30.0), max_size=8))
+@example(raw=[0.1, 0.2, 0.3, 0.3, 0.7, 1.1, 1.2], decimals=1,
+         outside=[0.15, 5.0])
+def test_checked_guess_on_rounded_samples(raw, decimals, outside):
+    # decimal fractions are not binary ones, so the bound pts - t that
+    # seeds each search rounds to the wrong side of many gaps; the
+    # kernel's own subtraction must catch every such entry
+    x = np.round(np.array(raw), decimals)
+    xs = np.sort(x)
+    pts = np.concatenate((xs, np.round(outside, decimals + 1)))
+    for t in gaps_and_neighbours(xs):
+        want = np.sum(pts[:, None] - xs[None, :] > t, axis=1)
+        np.testing.assert_array_equal(_clear_below(xs, pts, t), want)
+    H, oracle = MinPairwiseCounts(x, 3), Triples(x)
+    for t in gaps_and_neighbours(xs)[::3]:
+        assert H.count_le(t) == oracle.count_le(t)
+        np.testing.assert_array_equal(H.per_point_le(t, x),
+                                      oracle.per_point_le(t))
+    for p in (1 / H.size, 0.25, 0.5, 0.75, 1.0):
+        for conv in ("ceil", "floor_bracket"):
+            k = _rank(p, H.size, conv)
+            assert H.quantile(p, conv) == oracle.kth(k)
