@@ -41,16 +41,23 @@ from .mc import (
 from .processes import make_rng
 
 
+def _series_cells(rows):
+    """The parsed first fields of read_series's rows."""
+    for i, row in enumerate(rows):
+        if not row or not row[0].strip():
+            continue
+        cell = row[0].strip()
+        if i == 0 and cell.lower() == "x":
+            continue
+        yield float(cell)
+
+
 def read_series(path) -> np.ndarray:
     """Single-column CSV, with or without an 'x' header on the first row.
     Blank rows and blank first fields are skipped; other columns are
     ignored."""
     with open(path, "r", encoding="utf-8") as fh:
-        values = np.fromiter(
-            (float(cell) for i, row in enumerate(csv.reader(fh))
-             if row and (cell := row[0].strip())
-             and (i or cell.lower() != "x")),
-            dtype=float)
+        values = np.fromiter(_series_cells(csv.reader(fh)), dtype=float)
     if not values.size:
         raise GlstatError(f"no data in {path}")
     return values

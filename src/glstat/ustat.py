@@ -588,21 +588,23 @@ def project(sample, kernel: KernelSpec, at=None,
     sums run over the full sample and do not exclude any index whose
     value equals x.  The inner sums come from tail_sums and the outer
     sum is C(n, m) U_n, so a kernel with a closed form enumerates no
-    kernel value.  For the built-in min-pairwise kernel at the sample
-    points, a tail holding the point itself scores 0, so the tail sums
-    count every m-subset once per member and the outer sum is their
-    total over m.
+    kernel value.  For the closed-form min-pairwise kernels (m <= 3) at
+    the sample points, a tail holding the point itself scores 0, so the
+    tail sums count every m-subset once per member and the outer sum is
+    their total over m.  Any other kernel takes U_n first, so one that
+    enumerates raises CapacityError before its tails are enumerated.
     """
     x = as_sample(sample)
     n, m = x.size, kernel.m
     _require_n(x, m)
     d1, d2 = _g1_denominators(n, m, normalization)
     pts = x if at is None else as_sample(at)
-    tails = tail_sums(x, kernel, None, pts)
-    if at is None and kernel is MIN_PAIRWISE.get(m):
+    if at is None and m <= 3 and kernel is MIN_PAIRWISE.get(m):
+        tails = tail_sums(x, kernel, None, pts)
         total = float(np.sum(tails)) / m
     else:
         total = comb(n, m) * u_statistic(x, kernel)
+        tails = tail_sums(x, kernel, None, pts)
     return tails / d1 - total / d2
 
 

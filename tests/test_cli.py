@@ -283,6 +283,12 @@ def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):
     short.write_text("1.0\n")
     assert run_cli(["estimate", "--estimator", "gini",
                     "--input", str(short)]) == 1
+    # lrv --kernel min_pairwise --m 4 enumerates; C(225, 4) exceeds the cap
+    wide = tmp_path / "wide.csv"
+    wide.write_text("".join(f"{v}.0\n" for v in range(225)))
+    assert run_cli(["lrv", "--kernel", "min_pairwise", "--m", "4",
+                    "--input", str(wide)]) == 1
+    assert "exceed the cap" in capsys.readouterr().err
     # Bartlett is the only lag window; a config asking for another fails
     cfg = {"process": {"kind": "iid_gaussian"},
            "estimators": [{"name": "gini"}], "sample_sizes": [25],

@@ -219,6 +219,14 @@ def test_capacity_error():
     x = np.zeros(845)
     with pytest.raises(CapacityError):
         kernel_values(x, MINP3)
+    # a projection by enumeration checks the bound before it enumerates
+    # the C(n, m-1) tails: C(225, 4) exceeds it, C(225, 3) does not
+    x = np.arange(225.0)
+    with pytest.raises(CapacityError):
+        g1_hat_all(x, builtin_kernel("min_pairwise", {"m": 4}))
+    prod = custom_kernel("product", 3, lambda a: a[0] * a[1] * a[2])
+    with pytest.raises(CapacityError):
+        ustat.project(np.arange(845.0), prod, at=[0.0])
 
 
 def test_insufficient_data():
