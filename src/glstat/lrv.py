@@ -29,7 +29,6 @@ from math import comb, isfinite, sqrt
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DegenerateDensityError, InsufficientDataError
 from .gl import GLSpec, gl_statistic
@@ -351,6 +350,14 @@ def lrv_gl(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
     )
 
 
+def normal_quantile(p):
+    """Phi^{-1}(p), elementwise: the same doubles as scipy's ``norm.ppf``,
+    which calls this ndtri.  It is imported here, so that only the
+    callers that need a normal quantile pay for loading scipy.special."""
+    from scipy.special import ndtri
+    return ndtri(p)
+
+
 def gl_confidence_interval(sample, spec: GLSpec,
                            cfg: Optional[LrvConfig] = None,
                            level: float = 0.95) -> Tuple[float, float]:
@@ -363,6 +370,6 @@ def gl_confidence_interval(sample, spec: GLSpec,
     plugin = build_plugin(x, spec, cfg)
     t = plugin.estimate
     report = lrv_gl(x, spec, cfg, plugin=plugin)
-    z = float(norm.ppf(0.5 * (1.0 + level)))
+    z = float(normal_quantile(0.5 * (1.0 + level)))
     half = z * sqrt(report.m2_sigma2_gl / x.size)
     return (t - half, t + half)

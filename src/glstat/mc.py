@@ -18,7 +18,6 @@ from math import floor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import kurtosis, norm, skew
 
 from .errors import DegenerateVarianceError, GlstatError
 from .gl import (
@@ -28,7 +27,12 @@ from .gl import (
     estimator_q,
     gini_gl_spec,
 )
-from .lrv import BandwidthPolicy, LrvConfig, gl_confidence_interval
+from .lrv import (
+    BandwidthPolicy,
+    LrvConfig,
+    gl_confidence_interval,
+    normal_quantile,
+)
 from .processes import (
     EgarchParams,
     InnovationModel,
@@ -267,6 +271,9 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
         raise ValueError(f"n_subsets must be at least 1, got {n_subsets}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if x.size < m:
+        # every row would repeat an index; fail before touching the stream
+        raise DegenerateVarianceError("no distinct index subsets drawn")
     pairs = list(combinations(range(m), 2))
     vals = np.empty(int(n_subsets))
     repeated = 0
@@ -330,8 +337,25 @@ def qq_points(values) -> np.ndarray:
         raise DegenerateVarianceError("zero variance across replications")
     z = np.sort((v - v.mean()) / sd)
     r = v.size
-    theo = norm.ppf((np.arange(1, r + 1) - 0.5) / r)
+    theo = normal_quantile((np.arange(1, r + 1) - 0.5) / r)
     return np.column_stack((theo, z))
+
+
+def skewness_and_excess_kurtosis(v: np.ndarray) -> Tuple[float, float]:
+    """Biased sample skewness m3 / m2^1.5 and excess kurtosis
+    m4 / m2^2 - 3, both NaN when m2 <= (eps * mean)^2 (a constant
+    sample).  The operations are those of scipy's ``skew`` and
+    ``kurtosis``, in the same order, so the values are the same doubles
+    (without scipy's import)."""
+    mean = v.mean(keepdims=True)
+    d = v - mean
+    d2 = d ** 2
+    m2 = d2.mean()
+    if m2 <= (np.finfo(float).eps * mean[0]) ** 2:
+        return float("nan"), float("nan")
+    m3 = (d2 * d).mean()
+    m4 = (d2 ** 2).mean()
+    return float(m3 / m2 ** 1.5), float(m4 / m2 ** 2.0 - 3)
 
 
 def normality_summary(values) -> NormalitySummary:
@@ -339,11 +363,12 @@ def normality_summary(values) -> NormalitySummary:
     if v.size < 4:
         raise ValueError("need at least 4 values for a normality summary")
     qq = qq_points(v)
+    skewness, excess_kurtosis = skewness_and_excess_kurtosis(v)
     return NormalitySummary(
         mean=float(v.mean()),
         sd=float(v.std(ddof=1)),
-        skewness=float(skew(v)),
-        excess_kurtosis=float(kurtosis(v, fisher=True)),
+        skewness=skewness,
+        excess_kurtosis=excess_kurtosis,
         qq_correlation=float(np.corrcoef(qq[:, 0], qq[:, 1])[0, 1]),
     )
 

@@ -14,7 +14,6 @@ from math import pi, sqrt
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InsufficientDataError, StationarityError
 
@@ -74,9 +73,33 @@ def simulate_innovations(model: InnovationModel, n_total: int,
     if model.kind == "iid_gaussian" or model.rho == 0.0:
         return eps
     rho = model.rho
-    u = eps * sqrt(1.0 - rho * rho)
-    u[0] = eps[0]  # stationary initialization
-    return lfilter([1.0], [1.0, -rho], u)
+    # Z_1 = eps_1 is the stationary initialization
+    return _linear_recursion([eps[0]], eps[1:] * sqrt(1.0 - rho * rho),
+                             (rho,))
+
+
+def _linear_recursion(start, drive: np.ndarray, coefs) -> np.ndarray:
+    """The path ``start`` continued by
+    y_t = drive_t + coefs[0] y_{t-1} + ... + coefs[q-1] y_{t-q},
+    summed left to right in Python floats (len(start) >= q).
+
+    For q = 1 this is bit for bit scipy's ``lfilter([1], [1, -c], ...)``
+    with the initial state c * start[-1], without importing scipy.  A
+    step costs about 0.1 us, against 0.01 us in lfilter (2-core x86-64).
+    """
+    y = [float(v) for v in start]
+    if len(coefs) == 1:
+        # every AR(1) and EGARCH(p, 1) path; a comprehension runs this
+        # about twice as fast as the general loop below
+        c, prev = coefs[0], y[-1]
+        y += [prev := d + c * prev for d in drive.tolist()]
+    else:
+        lags = tuple(enumerate(coefs, start=1))
+        for acc in drive.tolist():
+            for j, c in lags:
+                acc += c * y[-j]
+            y.append(acc)
+    return np.fromiter(y, float, len(y))
 
 
 @dataclass(frozen=True)
@@ -136,18 +159,7 @@ def simulate_egarch(params: EgarchParams, innovations,
     drive = np.full(total, params.alpha0)
     for i, a in enumerate(params.alpha, start=1):
         drive[lag:] += a * f[lag - i: total - i]
-    logv = np.empty(total)
-    logv[:lag] = init
-    if q == 1:
-        b1 = params.beta[0]
-        logv[lag:] = lfilter([1.0], [1.0, -b1], drive[lag:],
-                             zi=np.array([b1 * init]))[0]
-    else:
-        for t in range(lag, total):
-            acc = drive[t]
-            for j, b in enumerate(params.beta, start=1):
-                acc += b * logv[t - j]
-            logv[t] = acc
+    logv = _linear_recursion([init] * lag, drive[lag:], params.beta)
     x = np.exp(0.5 * logv) * z
     return x[lag + sim.burn_in:]
 

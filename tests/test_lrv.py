@@ -24,6 +24,7 @@ from glstat import (
     lrv_ustat,
     q_gl_spec,
 )
+from glstat.lrv import normal_quantile
 
 GINI = builtin_kernel("gini_abs_diff")
 
@@ -233,6 +234,9 @@ def test_confidence_interval_basic_properties():
 
 def test_normal_critical_value():
     assert norm.ppf(0.975) == pytest.approx(1.95996, abs=1e-4)
+    for level in (0.9, 0.95, 0.99):
+        p = 0.5 * (1.0 + level)
+        assert float(normal_quantile(p)) == float(norm.ppf(p))
 
 
 def test_influence_kernel_between_and_beyond_kernel_values():

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from math import floor
 
 import numpy as np
@@ -23,7 +24,12 @@ from glstat import (
     write_report,
 )
 from glstat.errors import DegenerateVarianceError, InsufficientDataError
-from glstat.mc import _Q_CHUNK_ROWS, apply_estimator, q_subsampled
+from glstat.mc import (
+    _Q_CHUNK_ROWS,
+    apply_estimator,
+    q_subsampled,
+    skewness_and_excess_kurtosis,
+)
 
 
 def small_config(**overrides):
@@ -63,6 +69,41 @@ def test_normality_summary_gaussian():
     assert abs(s.skewness) < 0.1
     assert abs(s.excess_kurtosis) < 0.2
     assert s.qq_correlation > 0.999
+
+
+def test_moments_equal_scipy_skew_and_kurtosis():
+    from scipy.stats import kurtosis, skew
+    rng = np.random.default_rng(101)
+    for trial in range(300):
+        size = int(rng.integers(4, 3000))
+        v = rng.standard_t(df=int(rng.integers(3, 30)), size=size)
+        v = v * rng.uniform(1e-3, 1e3) + rng.normal(scale=100.0)
+        if trial % 3 == 0:
+            v = np.round(v, 1)  # ties
+        sk, ku = skewness_and_excess_kurtosis(v)
+        assert sk == float(skew(v))
+        assert ku == float(kurtosis(v, fisher=True))
+        s = normality_summary(v)
+        assert (s.skewness, s.excess_kurtosis) == (sk, ku)
+    for c in (0.0, 1.0, -1e6):
+        sk, ku = skewness_and_excess_kurtosis(np.full(50, c))
+        assert np.isnan(sk) and np.isnan(ku)
+    # a mean that rounds away from the constant leaves m2 above the
+    # cut-off; scipy then returns the same numbers
+    v = np.full(50, 3.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # precision loss
+        expected = (float(skew(v)), float(kurtosis(v)))
+    assert skewness_and_excess_kurtosis(v) == expected
+
+
+def test_qq_quantiles_equal_scipy_norm_ppf():
+    from scipy.stats import norm
+    rng = np.random.default_rng(103)
+    for r in (4, 5, 200, 500, 1001):
+        grid = (np.arange(1, r + 1) - 0.5) / r
+        theo = qq_points(rng.standard_normal(r))[:, 0]
+        assert theo.tolist() == norm.ppf(grid).tolist()
 
 
 def test_normality_summary_heavy_tail_is_flagged():
@@ -155,9 +196,13 @@ def test_q_subsampled_rejects_bad_arguments_before_drawing(
 def test_q_subsampled_empty_or_too_short_sample():
     with pytest.raises(InsufficientDataError):
         q_subsampled([], 3, 0.5, 100, make_rng(3))
-    # n < m: every row repeats an index
-    with pytest.raises(DegenerateVarianceError):
-        q_subsampled([1.0, 2.0], 3, 0.5, 100, make_rng(3))
+    # n < m: every row would repeat an index, so nothing is drawn
+    rng = make_rng(3)
+    before = rng_state(rng)
+    with pytest.raises(DegenerateVarianceError,
+                       match="no distinct index subsets drawn"):
+        q_subsampled([1.0, 2.0], 3, 0.5, 100, rng)
+    assert rng_state(rng) == before
 
 
 def test_apply_estimator_exact_q_at_study_size():

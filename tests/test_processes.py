@@ -46,6 +46,40 @@ def test_ar1_innovations_autocorrelation_and_variance():
     assert r1 == pytest.approx(0.8, abs=0.02)
 
 
+def test_recursions_equal_scipy_lfilter():
+    # the AR(1) innovations and the q = 1 EGARCH log-variance, against
+    # the lfilter forms they replace
+    from scipy.signal import lfilter
+    rng = np.random.default_rng(109)
+    for _ in range(120):
+        rho = float(rng.uniform(-0.99, 0.99))
+        total = int(rng.integers(1, 2500))
+        seed = int(rng.integers(2**31))
+        z = simulate_innovations(InnovationModel(kind="ar1", rho=rho),
+                                 total, make_rng(seed))
+        eps = make_rng(seed).standard_normal(total)
+        u = eps * sqrt(1.0 - rho * rho)
+        u[0] = eps[0]
+        assert z.tolist() == lfilter([1.0], [1.0, -rho], u).tolist()
+
+        params = EgarchParams(alpha0=float(rng.normal()),
+                              alpha=(float(rng.uniform(-1, 1)),),
+                              beta=(float(rng.uniform(-0.99, 0.99)),),
+                              theta=float(rng.normal()),
+                              lam=float(rng.uniform(0, 1)))
+        burn_in = int(rng.integers(0, total))
+        sim = SimConfig(n=total - burn_in, burn_in=burn_in)
+        zz = np.concatenate(([float(rng.normal())], z))
+        x = simulate_egarch(params, zz, sim)
+        b1, init = params.beta[0], params.stationary_log_variance
+        f = params.theta * zz + params.lam * (np.abs(zz) - GAUSSIAN_MEAN_ABS)
+        drive = params.alpha0 + params.alpha[0] * f[:-1]
+        logv = np.concatenate(([init], lfilter(
+            [1.0], [1.0, -b1], drive, zi=np.array([b1 * init]))[0]))
+        ref = (np.exp(0.5 * logv) * zz)[1 + burn_in:]
+        assert x.tolist() == ref.tolist()
+
+
 def test_ar1_requires_stationarity():
     with pytest.raises(StationarityError):
         InnovationModel(kind="ar1", rho=1.0)
@@ -84,6 +118,16 @@ def test_egarch_higher_order_loop_path():
     x = simulate_egarch(params, z, SimConfig(n=100, burn_in=100))
     assert x.shape == (100,)
     assert np.all(np.isfinite(x))
+    # the recursion sums drive, then beta_1 term, then beta_2 term
+    f = params.theta * z + params.lam * (np.abs(z) - GAUSSIAN_MEAN_ABS)
+    logv = np.zeros(202)
+    for t in range(2, 202):
+        acc = params.alpha0 + 0.1 * f[t - 1]
+        acc += 0.05 * f[t - 2]
+        acc += 0.2 * logv[t - 1]
+        acc += 0.1 * logv[t - 2]
+        logv[t] = acc
+    assert x.tolist() == (np.exp(0.5 * logv) * z[:202])[102:].tolist()
 
 
 def test_egarch_stationarity_and_length_checks():
