@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
-from math import floor
+from itertools import chain, combinations
+from math import ceil, floor, sqrt
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,7 +45,8 @@ from .processes import (
 from .ustat import as_sample
 
 DEFAULT_REPLICATIONS = 500
-_Q_CHUNK_ROWS = 1 << 14  # index rows drawn per chunk in q_subsampled
+_Q_CHUNK_ROWS = 1 << 15  # index rows drawn per chunk in q_subsampled
+_Q_BRACKET_SD = 8  # half-width of q_subsampled's bracket, in binomial sd
 
 
 # --- configuration ---------------------------------------------------------
@@ -106,15 +108,24 @@ def egarch_scenario(number: int) -> ProcessConfig:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Catalog estimator with its options.  ``subsample`` > 0 switches the
-    Q estimator to a seeded incomplete-U-statistic mode with that many
-    random index subsets per replication."""
+    """Catalog estimator with its options.  ``subsample``, an integer
+    >= 0, switches the Q estimator when > 0 to a seeded
+    incomplete-U-statistic mode with that many random index subsets per
+    replication."""
 
     name: str  # gini | gini_os | q | c | lms
     m: int = 3
     alpha: float = 0.5
     c_alpha: float = 1.0
     subsample: int = 0
+
+    def __post_init__(self):
+        # checked when built, so that an experiment fails before any cell
+        # runs: a negative subsample would silently run exact Q
+        if (not isinstance(self.subsample, numbers.Integral)
+                or self.subsample < 0):
+            raise ValueError(f"subsample must be an integer >= 0, "
+                             f"got {self.subsample!r}")
 
     @property
     def label(self) -> str:
@@ -248,6 +259,101 @@ def simulate_path(process: ProcessConfig, n: int,
     raise ValueError(f"unknown process kind {process.kind!r}")
 
 
+def _gap_chunks(x: np.ndarray, m: int, n_subsets: int,
+                rng: np.random.Generator):
+    """Yield ``(gaps, repeated)`` for each chunk of _Q_CHUNK_ROWS index
+    rows, in stream order: the min-pairwise gap of every row and the
+    number of rows that repeat an index.  ``gaps`` is a buffer that the
+    next chunk overwrites.
+
+    While the caller reduces one chunk, one worker thread draws the next
+    with the same ``rng.integers`` call.  Draws are submitted in stream
+    order and at most one is in flight, so the generator is never used
+    by two threads at once.  A single chunk starts no thread.
+    """
+    pairs = list(combinations(range(m), 2))
+    rows = min(n_subsets, _Q_CHUNK_ROWS)
+    sizes = [min(rows, n_subsets - s) for s in range(0, n_subsets, rows)]
+    cols, gaps, diff = np.empty((rows, m)), np.empty(rows), np.empty(rows)
+
+    def draw(size: int) -> np.ndarray:
+        return rng.integers(0, x.size, size=(size, m))
+
+    def reduce(idx: np.ndarray):
+        size = idx.shape[0]
+        c, g, d = cols[:size], gaps[:size], diff[:size]
+        np.take(x, idx, out=c, mode="clip")  # every index is in range
+        # the min over all pairs is the min gap of the sorted row bit
+        # for bit: rounding is monotone and |a - b| == |b - a| exactly
+        np.subtract(c[:, 0], c[:, 1], out=g)
+        np.abs(g, out=g)
+        for a, b in pairs[1:]:
+            np.subtract(c[:, a], c[:, b], out=d)
+            np.abs(d, out=d)
+            np.minimum(g, d, out=g)
+        # a row that repeats an index has gap 0: only those are checked
+        zero = idx[g == 0.0]
+        dup = np.zeros(zero.shape[0], dtype=bool)
+        for a, b in pairs:
+            dup |= zero[:, a] == zero[:, b]
+        return g, int(np.count_nonzero(dup))
+
+    if len(sizes) == 1:
+        yield reduce(draw(rows))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(draw, sizes[0])
+        for size in sizes[1:]:
+            idx = ahead.result()
+            ahead = pool.submit(draw, size)
+            yield reduce(idx)
+        yield reduce(ahead.result())
+
+
+def _q_rank(alpha: float, n_subsets: int, repeated: int) -> int:
+    """0-based rank, among all drawn rows, of the k-th smallest gap of
+    the distinct rows."""
+    distinct = n_subsets - repeated
+    if distinct == 0:
+        raise DegenerateVarianceError("no distinct index subsets drawn")
+    return repeated + max(1, floor(alpha * distinct)) - 1
+
+
+def _q_in_bracket(x: np.ndarray, m: int, alpha: float, n_subsets: int,
+                  rng: np.random.Generator) -> Optional[float]:
+    """q_subsampled's value from the gaps inside a bracket that the
+    first chunk fixes, or None when the selected rank falls outside it.
+
+    The bracket is the first chunk's order statistics at p +- _Q_BRACKET_SD
+    binomial sd, p the rank fraction that alpha and the chunk's repeated
+    count give.  Each chunk adds to the count of gaps below the bracket
+    and keeps the gaps inside it, so only those are partitioned.
+    """
+    chunks = _gap_chunks(x, m, n_subsets, rng)
+    first, first_repeated = next(chunks)
+    r = first.size
+    p = (first_repeated + alpha * (r - first_repeated)) / r
+    half = _Q_BRACKET_SD * sqrt(r * p * (1.0 - p))
+    ranks = [min(max(int(r * p - half), 0), r - 1),
+             min(ceil(r * p + half), r - 1)]
+    lo, hi = np.partition(first, ranks)[ranks]
+    below = repeated = 0
+    kept = []
+    for gaps, rep in chain([(first, first_repeated)], chunks):
+        inside = gaps >= lo
+        below += gaps.size - int(np.count_nonzero(inside))
+        inside &= gaps <= hi
+        kept.append(gaps[inside])
+        repeated += rep
+    j = _q_rank(alpha, n_subsets, repeated) - below
+    candidates = np.concatenate(kept)
+    if not 0 <= j < candidates.size:
+        return None
+    candidates.partition(j)
+    return float(candidates[j])
+
+
 def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
                  rng: np.random.Generator) -> float:
     """Incomplete-U-statistic Q estimator over random m-subsets.
@@ -258,15 +364,24 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
     index are discarded; among the remaining #distinct rows the estimate
     is the k-th smallest min-pairwise gap, k = max(1, floor(alpha *
     #distinct)).  The draws are taken in chunks of _Q_CHUNK_ROWS rows,
-    which consumes the same stream as one draw of all rows.
+    which consumes the same stream as one draw of all rows.  The next
+    chunk is drawn on one worker thread while this one is reduced, so
+    ``rng`` must not be used from another thread during the call.
 
     A repeated row's kernel value is exactly 0 on finite input, the
     smallest possible value, so the k-th smallest distinct value is the
     (#repeated + k)-th smallest of all rows and no row is ever removed.
+    With 4 chunks or more only the gaps inside a bracket fixed by the
+    first chunk are kept (a few percent of the rows at alpha = 0.5).
+    If the selected gap falls outside it, the generator state saved
+    before the first draw is restored and the stream replayed into an
+    array of all n_subsets gaps, the path that fewer chunks take.
     """
     x = as_sample(sample)
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
+    if not isinstance(n_subsets, numbers.Integral):
+        raise ValueError(f"n_subsets must be an integer, got {n_subsets!r}")
     if n_subsets < 1:
         raise ValueError(f"n_subsets must be at least 1, got {n_subsets}")
     if not 0.0 < alpha < 1.0:
@@ -274,26 +389,20 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
     if x.size < m:
         # every row would repeat an index; fail before touching the stream
         raise DegenerateVarianceError("no distinct index subsets drawn")
-    pairs = list(combinations(range(m), 2))
-    vals = np.empty(int(n_subsets))
-    repeated = 0
-    for start in range(0, vals.size, _Q_CHUNK_ROWS):
-        out = vals[start:start + _Q_CHUNK_ROWS]
-        idx = rng.integers(0, x.size, size=(out.size, m)).T
-        cols = x[idx]
-        dup = np.zeros(out.size, dtype=bool)
-        out.fill(np.inf)
-        # the min over all pairs is the min gap of the sorted row bit
-        # for bit: rounding is monotone and |a - b| == |b - a| exactly
-        for a, b in pairs:
-            gap = np.abs(cols[a] - cols[b])
-            np.minimum(out, gap, out=out)
-            dup |= idx[a] == idx[b]
-        repeated += int(np.count_nonzero(dup))
-    distinct = vals.size - repeated
-    if distinct == 0:
-        raise DegenerateVarianceError("no distinct index subsets drawn")
-    j = repeated + max(1, floor(alpha * distinct)) - 1
+    n_subsets = int(n_subsets)
+    if n_subsets > 3 * _Q_CHUNK_ROWS:
+        state = rng.bit_generator.state
+        value = _q_in_bracket(x, m, alpha, n_subsets, rng)
+        if value is not None:
+            return value
+        rng.bit_generator.state = state
+    vals = np.empty(n_subsets)
+    start = repeated = 0
+    for gaps, rep in _gap_chunks(x, m, n_subsets, rng):
+        vals[start:start + gaps.size] = gaps
+        start += gaps.size
+        repeated += rep
+    j = _q_rank(alpha, n_subsets, repeated)
     vals.partition(j)
     return float(vals[j])
 

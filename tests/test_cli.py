@@ -272,6 +272,15 @@ def test_experiment_command_rejects_duplicate_labels(tmp_path, capsys):
                     "--out", str(out)]) == 1
     assert "need at least 4 replications" in capsys.readouterr().err
     assert not out.exists()
+    # a float or negative subsample fails when the config is built
+    for subsample in (2.5, -5):
+        cfg.update(estimators=[dict(q_sub, subsample=subsample)],
+                   replications=8)
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["experiment", "--config", str(cfg_path),
+                        "--out", str(out)]) == 1
+        assert "subsample must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import os
+import threading
 import warnings
 from math import floor
 
@@ -23,6 +25,7 @@ from glstat import (
     simulate_path,
     write_report,
 )
+from glstat import mc
 from glstat.errors import DegenerateVarianceError, InsufficientDataError
 from glstat.mc import (
     _Q_CHUNK_ROWS,
@@ -158,13 +161,16 @@ def rng_state(rng):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_q_subsampled_bit_identical_to_two_branch_routine(m):
     # tied data (small integers), n = m where most rows repeat an index,
-    # one partial chunk and a run that ends inside a chunk, and an RNG
-    # whose Philox buffer holds half a word from an earlier int32 draw
+    # one partial chunk, a run that ends inside a chunk, a run long
+    # enough to select from the first chunk's bracket, extreme alphas,
+    # and an RNG whose Philox buffer holds half a word from an earlier
+    # int32 draw
     tied = np.random.default_rng(107).integers(0, 6, size=40).astype(float)
     for x in (tied, tied[:m]):
-        for n_subsets in (1000, 2 * _Q_CHUNK_ROWS + 77):
+        for n_subsets in (1000, 2 * _Q_CHUNK_ROWS + 77,
+                          4 * _Q_CHUNK_ROWS + 77):
             for warm in (False, True):
-                for alpha in (0.2, 0.5):
+                for alpha in (0.01, 0.2, 0.5, 0.99):
                     old, new = make_rng(m), make_rng(m)
                     if warm:
                         old.integers(0, 10, dtype=np.int32)
@@ -175,12 +181,75 @@ def test_q_subsampled_bit_identical_to_two_branch_routine(m):
                     assert rng_state(new) == rng_state(old)
 
 
+def test_q_subsampled_replays_the_stream_when_the_bracket_misses(
+        monkeypatch):
+    # a zero-width bracket around the first chunk's quantile misses the
+    # selected gap of a continuous sample, so the stream is replayed
+    bracket, results = mc._q_in_bracket, []
+
+    def in_bracket(*args):
+        results.append(bracket(*args))
+        return results[-1]
+
+    monkeypatch.setattr(mc, "_q_in_bracket", in_bracket)
+    monkeypatch.setattr(mc, "_Q_BRACKET_SD", 0)
+    x = simulate_path(egarch_scenario(1), 1000, make_rng(5))
+    for m in (2, 3):
+        old, new = make_rng(m), make_rng(m)
+        want = _q_subsampled_two_branch(x, m, 0.5, 4 * _Q_CHUNK_ROWS + 77,
+                                        old)
+        assert q_subsampled(x, m, 0.5, 4 * _Q_CHUNK_ROWS + 77, new) == want
+        assert rng_state(new) == rng_state(old)
+    assert results == [None, None]
+
+
+def test_q_subsampled_draws_ahead_on_one_thread_only_past_one_chunk(
+        monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
+    x = np.arange(50.0)
+    threads = threading.active_count()
+    q_subsampled(x, 3, 0.5, _Q_CHUNK_ROWS, make_rng(1))
+    assert pools == []
+    q_subsampled(x, 3, 0.5, _Q_CHUNK_ROWS + 1, make_rng(1))
+    assert pools == [1]
+    assert threading.active_count() == threads
+
+
+# float.hex of q_subsampled on numpy's standard normals from a fixed
+# seed, computed by the routine that drew one chunk at a time on the
+# calling thread and partitioned all n_subsets gaps
+Q_SUBSAMPLED_GOLDEN = {
+    (2, 300_000): "0x1.f3d884b075acdp-1",
+    (2, 2_000_000): "0x1.f39ac255da266p-1",
+    (3, 300_000): "0x1.7bad6c8360dd4p-2",
+    (3, 2_000_000): "0x1.797b2d78f3267p-2",
+    (4, 300_000): "0x1.8afd9b46a2d4cp-3",
+    (4, 2_000_000): "0x1.8ca3afa72e2bcp-3",
+}
+
+
+@pytest.mark.parametrize("m, n_subsets", sorted(Q_SUBSAMPLED_GOLDEN))
+def test_q_subsampled_golden_values(m, n_subsets):
+    x = np.random.default_rng(2017).standard_normal(1000)
+    got = q_subsampled(x, m, 0.5, n_subsets, make_rng(1234))
+    assert float.hex(got) == Q_SUBSAMPLED_GOLDEN[m, n_subsets]
+
+
 @pytest.mark.parametrize("m, alpha, n_subsets, sample", [
     (1, 0.5, 100, None),
     (3, 1.5, 100, None),
     (3, 0.0, 100, None),
     (3, 0.5, 0, None),
     (3, 0.5, -5, None),
+    (3, 0.5, 2.5, None),
     (3, 0.5, 100, [0.3, float("nan"), 1.2, 2.0]),
 ])
 def test_q_subsampled_rejects_bad_arguments_before_drawing(
@@ -263,6 +332,12 @@ def test_duplicate_estimator_labels_are_rejected():
     d["estimators"].append(d["estimators"][0])
     with pytest.raises(ValueError, match="duplicate estimator label 'gini'"):
         ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("subsample", [-5, 2.5, 1000.0])
+def test_bad_subsample_is_rejected_when_built(subsample):
+    with pytest.raises(ValueError, match="subsample must be an integer"):
+        EstimatorConfig(name="q", subsample=subsample)
 
 
 def test_config_with_output_dir_key_loads(tmp_path):
