@@ -273,7 +273,7 @@ def test_experiment_command_rejects_duplicate_labels(tmp_path, capsys):
     assert "need at least 4 replications" in capsys.readouterr().err
     assert not out.exists()
     # a float or negative subsample fails when the config is built
-    for subsample in (2.5, -5):
+    for subsample in (2.5, 1000.0, -5):
         cfg.update(estimators=[dict(q_sub, subsample=subsample)],
                    replications=8)
         cfg_path.write_text(json.dumps(cfg))

@@ -249,8 +249,8 @@ def test_q_subsampled_golden_values(m, n_subsets):
     (3, 0.0, 100, None),
     (3, 0.5, 0, None),
     (3, 0.5, -5, None),
-    (3, 0.5, 2.5, None),
     (3, 0.5, 100, [0.3, float("nan"), 1.2, 2.0]),
+    (3, 0.5, 2.5, None),
 ])
 def test_q_subsampled_rejects_bad_arguments_before_drawing(
         m, alpha, n_subsets, sample):
@@ -332,12 +332,6 @@ def test_duplicate_estimator_labels_are_rejected():
     d["estimators"].append(d["estimators"][0])
     with pytest.raises(ValueError, match="duplicate estimator label 'gini'"):
         ExperimentConfig.from_dict(d)
-
-
-@pytest.mark.parametrize("subsample", [-5, 2.5, 1000.0])
-def test_bad_subsample_is_rejected_when_built(subsample):
-    with pytest.raises(ValueError, match="subsample must be an integer"):
-        EstimatorConfig(name="q", subsample=subsample)
 
 
 def test_config_with_output_dir_key_loads(tmp_path):
