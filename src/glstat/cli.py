@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -41,29 +42,22 @@ from .mc import (
 from .processes import make_rng
 
 
-def _series_cells(rows):
-    """The parsed first fields of read_series's rows."""
-    for i, row in enumerate(rows):
-        if not row or not row[0].strip():
-            continue
-        cell = row[0].strip()
-        if i == 0 and cell.lower() == "x":
-            continue
-        yield float(cell)
-
-
 def read_series(path) -> np.ndarray:
     """Single-column CSV, with or without an 'x' header on the first row.
     Blank rows and blank first fields are skipped; other columns are
     ignored."""
     with open(path, "r", encoding="utf-8") as fh:
-        values = np.fromiter(_series_cells(csv.reader(fh)), dtype=float)
-    if not values.size:
+        values = [float(cell) for i, row in enumerate(csv.reader(fh))
+                  if row and (cell := row[0].strip())
+                  and (i or cell.lower() != "x")]
+    if not values:
         raise GlstatError(f"no data in {path}")
-    return values
+    return np.array(values, dtype=float)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     p = argparse.ArgumentParser(prog="glstat",
                                 description="GL-statistics toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -226,7 +220,7 @@ def _cmd_simulate(args) -> int:
     if args.verbose:
         _echo_defaults(args)
     path = simulate_path(process, args.n, make_rng(args.seed))
-    lines = ["x"] + [_fmt(v) for v in path]
+    lines = ["x"] + [_fmt(v) for v in path.tolist()]
     text = "\n".join(lines) + "\n"
     if args.out:
         tmp = args.out + ".tmp"

@@ -183,6 +183,9 @@ class ExperimentConfig:
         # the normality summary of each cell needs 4 estimates
         if self.replications < 4:
             raise ValueError("need at least 4 replications")
+        for n in self.sample_sizes:
+            if n < 1:
+                raise ValueError(f"sample sizes must be >= 1, got {n}")
         # labels key the cells, the report file names and the RNG streams
         labels = [e.label for e in self.estimators]
         for label in labels:
@@ -239,12 +242,13 @@ def _cell_rng(seed: int, label: str, n: int, rep: int) -> np.random.Generator:
 
 def simulate_path(process: ProcessConfig, n: int,
                   rng: np.random.Generator) -> np.ndarray:
+    # checks n for every kind, before any draw
+    sim = SimConfig(n=n, burn_in=process.burn_in)
     if process.kind == "iid_gaussian":
         return rng.standard_normal(n)
     if process.kind == "ar1":
         model = InnovationModel(kind="ar1", rho=process.rho)
         return simulate_innovations(model, n, rng)
-    sim = SimConfig(n=n, burn_in=process.burn_in)
     if process.kind == "garch11":
         model = InnovationModel(kind=process.innovation_kind, rho=process.rho)
         z = simulate_innovations(model, n + process.burn_in, rng)

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 from math import comb
 
@@ -6,7 +8,7 @@ import pytest
 from min_pairwise_oracle import q_interval
 
 from glstat import GlstatError, builtin_kernel
-from glstat.cli import read_series, run_cli
+from glstat.cli import _build_parser, read_series, run_cli
 from glstat.ustat import tail_sums
 
 
@@ -39,6 +41,62 @@ def test_read_series_with_and_without_header(tmp_path):
         r.write_text(text)
         with pytest.raises(GlstatError, match="no data"):
             read_series(r)
+
+
+def _read_series_generator(path):
+    """Frozen copy of the per-row generator reader that read_series's
+    single comprehension replaced."""
+    def cells(rows):
+        for i, row in enumerate(rows):
+            if not row or not row[0].strip():
+                continue
+            cell = row[0].strip()
+            if i == 0 and cell.lower() == "x":
+                continue
+            yield float(cell)
+
+    with open(path, "r", encoding="utf-8") as fh:
+        values = np.fromiter(cells(csv.reader(fh)), dtype=float)
+    if not values.size:
+        raise GlstatError(f"no data in {path}")
+    return values
+
+
+def _outcome(read, path):
+    try:
+        return read(path).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_read_series_matches_the_generator_reader(tmp_path):
+    x = np.random.default_rng(149).standard_normal(15000)
+    cases = [
+        "x\r\n1.5\r\n-2\r\n",  # CRLF line endings
+        "x\r1.5\r-2\r",  # old Mac line endings
+        '"x"\n"1.5"\n" -2 "\n',  # quoted cells
+        '"1,5"\n2\n',  # a quoted comma is part of the cell
+        "\nx\n1.0\n",  # an x is the header only on the first row
+        "1.0\nx\n",
+        "x\n",  # header only
+        "X\n\n",
+        "",
+        "\n , \n",
+        " x \n\t3.25\t\n  4e-3  \n\n,\n",  # whitespace
+        "nan\ninf\n-Infinity\n1_000\n-0.0\n",
+        "x,y\n1,2,3\n4\n5,,\n,6\n",  # extra columns
+        "x\n1.0\n2.0",  # no trailing newline
+        "x\n1e999\n4.9e-324\n",  # overflow, subnormal
+        "x\n1.0\n0x10\n",
+        '"1.0\n',  # unterminated quote
+        "x\n" + "".join(f"{float(v)!r}\n" for v in x),
+    ]
+    for k, text in enumerate(cases):
+        p = tmp_path / f"case{k}.csv"
+        p.write_bytes(text.encode())
+        assert _outcome(read_series, p) == _outcome(_read_series_generator,
+                                                    p), text[:40]
+    assert read_series(p).tobytes() == x.tobytes()
 
 
 def test_estimate_gini(three_csv, capsys):
@@ -228,6 +286,54 @@ def test_simulate_deterministic_and_round_trip(tmp_path, capsys):
     # stdout mode emits the same text
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == out1.read_text()
+
+
+def test_simulate_output_is_pinned(capsys):
+    # the sha256 of this command's stdout before simulate formatted
+    # path.tolist() instead of numpy scalars
+    assert run_cli(["simulate", "--model", "egarch", "--n", "2000",
+                    "--seed", "1"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "e724f65e61edbf805c5f212ddaae77760dee148a3c0d2032cecc87df999c432c")
+
+
+@pytest.mark.parametrize("model", ["iid", "ar1", "egarch"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_simulate_rejects_n_below_one(tmp_path, capsys, model, n):
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--model", model, "--n", n,
+                    "--out", str(out)]) == 1
+    assert f"n must be >= 1, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cached_parser_keeps_no_state_between_commands(tmp_path, capsys):
+    p = tmp_path / "s.csv"
+    x = np.random.default_rng(151).standard_normal(60)
+    p.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x))
+    commands = [
+        ["lrv", "--kernel", "min_pairwise", "--m", "3", "--input", str(p)],
+        ["lrv", "--estimator", "gini", "--input", str(p)],
+        # parses --m and --alpha, then misses the required --estimator
+        ["ci", "--m", "4", "--alpha", "0.25", "--input", str(p)],
+        ["ci", "--estimator", "q", "--m", "3", "--input", str(p)],
+    ]
+
+    def run(argv):
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    first = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, _ in first] == [0, 0, 2, 0]
+    assert [run(argv) for argv in commands] == first
+    assert _build_parser() is _build_parser()
 
 
 def test_experiment_command(tmp_path, capsys):

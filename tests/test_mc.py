@@ -295,6 +295,15 @@ def test_simulate_path_kinds():
     assert simulate_path(egarch_scenario(1), 100, make_rng(17)).shape == (100,)
     with pytest.raises(ValueError):
         simulate_path(ProcessConfig(kind="nope"), 10, make_rng(0))
+    # n is checked for every kind before anything is drawn
+    for process in (ProcessConfig(kind="iid_gaussian"),
+                    ProcessConfig(kind="ar1", rho=0.5), garch,
+                    egarch_scenario(1)):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+                simulate_path(process, n, rng)
+    assert simulate_path(ProcessConfig(kind="iid_gaussian"), 1,
+                         rng).shape == (1,)
 
 
 def test_egarch_scenarios():
@@ -331,6 +340,15 @@ def test_duplicate_estimator_labels_are_rejected():
     d = small_config().to_dict()
     d["estimators"].append(d["estimators"][0])
     with pytest.raises(ValueError, match="duplicate estimator label 'gini'"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_sample_sizes_below_one_are_rejected():
+    for sizes in ((0,), (100, -3)):
+        with pytest.raises(ValueError, match="sample sizes must be >= 1"):
+            small_config(sample_sizes=sizes)
+    d = dict(small_config().to_dict(), sample_sizes=[50, 0])
+    with pytest.raises(ValueError, match="sample sizes must be >= 1, got 0"):
         ExperimentConfig.from_dict(d)
 
 
