@@ -34,6 +34,7 @@ from .lrv import (
 from .mc import (
     ProcessConfig,
     _fmt,
+    egarch_scenario,
     load_config,
     run_experiment,
     simulate_path,
@@ -109,8 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="output CSV (default: stdout)")
-    sp.add_argument("--rho", type=float, default=0.8)
-    sp.add_argument("--burn-in", type=int, default=500)
+    # None when not given: each route reads only its own options
+    sp.add_argument("--rho", type=float)
+    sp.add_argument("--burn-in", type=int)
     sp.add_argument("--verbose", action="store_true")
 
     sp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
@@ -200,7 +202,25 @@ def _cmd_ci(args) -> int:
     return 0
 
 
+# the options each --model reads without --config, with their defaults
+_SIMULATE_OPTIONS = {"iid": {}, "ar1": {"rho": 0.8},
+                     "egarch": {"rho": 0.8, "burn_in": 500}}
+
+
 def _cmd_simulate(args) -> int:
+    if args.config:
+        route, reads = "--config", {}
+    elif args.model in _SIMULATE_OPTIONS:
+        route, reads = f"--model {args.model}", _SIMULATE_OPTIONS[args.model]
+    else:
+        raise GlstatError(f"model {args.model!r} needs --config")
+    # an option the route does not read is an error, not ignored
+    for name in ("rho", "burn_in"):
+        if getattr(args, name) is None:
+            setattr(args, name, reads.get(name))
+        elif name not in reads:
+            raise GlstatError(f"--{name.replace('_', '-')} is not read "
+                              f"with {route}")
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             import json
@@ -209,14 +229,11 @@ def _cmd_simulate(args) -> int:
         process = ProcessConfig(kind="iid_gaussian")
     elif args.model == "ar1":
         process = ProcessConfig(kind="ar1", rho=args.rho)
-    elif args.model == "egarch":
-        from .mc import egarch_scenario
-        process = egarch_scenario(1)
-        process = ProcessConfig(kind="egarch", rho=args.rho,
-                                burn_in=args.burn_in, egarch=process.egarch,
-                                innovation_kind="ar1")
     else:
-        raise GlstatError(f"model {args.model!r} needs --config")
+        process = ProcessConfig(kind="egarch", rho=args.rho,
+                                burn_in=args.burn_in,
+                                egarch=egarch_scenario(1).egarch,
+                                innovation_kind="ar1")
     if args.verbose:
         _echo_defaults(args)
     path = simulate_path(process, args.n, make_rng(args.seed))

@@ -227,7 +227,8 @@ def estimator_lms(sample) -> float:
 
 def lms_constant() -> float:
     """1 / (2 * Phi^{-1}(0.75)), the Fisher-consistency constant ~0.7413."""
-    # Phi^{-1}(0.75): the double that scipy's norm.ppf(0.75) returns
+    # Phi^{-1}(0.75): the double that lrv.normal_quantile(0.75), the
+    # Cephes ndtri, returns (as does scipy's norm.ppf(0.75))
     return 1.0 / (2.0 * 0.6744897501960817)
 
 

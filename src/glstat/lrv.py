@@ -25,7 +25,7 @@ only through 1[h <= xi_hat], so Ahat_1 comes from counts of H_n
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, isfinite, sqrt
+from math import comb, inf, isfinite, log, nan, sqrt
 from typing import Optional, Tuple
 
 import numpy as np
@@ -350,12 +350,86 @@ def lrv_gl(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
     )
 
 
+# Cephes ndtri (S. Moshier, Cephes Math Library), the routine behind
+# scipy.special.ndtri and norm.ppf: a rational approximation in
+# (y - 0.5)^2 on the centre, and in 1/x with x = sqrt(-2 log y) on each
+# tail.  The steps are those of the C code, in Python floats with
+# math.log and math.sqrt, so every result is the same double.  Each
+# denominator starts with the leading 1 that Cephes' p1evl implies
+# (1.0 * x + c is x + c exactly).
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# tail with y > exp(-32), that is x < 8
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# tail with x >= 8, down to the smallest subnormal
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: float, coef) -> float:
+    a = coef[0]
+    for c in coef[1:]:
+        a = a * x + c
+    return a
+
+
+def _ndtri(y0: float) -> float:
+    if not 0.0 < y0 < 1.0:
+        if y0 == 0.0:
+            return -inf
+        return inf if y0 == 1.0 else nan  # also NaN in, NaN out
+    lower = True
+    y = y0
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        lower = False
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = sqrt(-2.0 * log(y))
+    x0 = x - log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return -x if lower else x
+
+
 def normal_quantile(p):
-    """Phi^{-1}(p), elementwise: the same doubles as scipy's ``norm.ppf``,
-    which calls this ndtri.  It is imported here, so that only the
-    callers that need a normal quantile pay for loading scipy.special."""
-    from scipy.special import ndtri
-    return ndtri(p)
+    """Phi^{-1}(p), elementwise, as float64: the same doubles, shape and
+    type as scipy.special.ndtri (0 -> -inf, 1 -> +inf, NaN or p outside
+    [0, 1] -> NaN).  A Python number or a 0-d input gives a numpy
+    float64 scalar, any other input an array of its shape."""
+    if isinstance(p, (int, float)):
+        return np.float64(_ndtri(float(p)))
+    a = np.asarray(p, dtype=float)
+    out = np.array([_ndtri(v) for v in a.ravel().tolist()], dtype=float)
+    return out.reshape(a.shape)[()]
 
 
 def gl_confidence_interval(sample, spec: GLSpec,

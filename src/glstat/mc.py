@@ -180,6 +180,13 @@ class ExperimentConfig:
     ci_level: float = 0.95
 
     def __post_init__(self):
+        # not truncated with int(): a sample size of 100.7 must fail,
+        # not run n = 100
+        for what, v in (("replications", self.replications),
+                        ("seed", self.seed),
+                        *(("sample size", n) for n in self.sample_sizes)):
+            if not isinstance(v, numbers.Integral):
+                raise ValueError(f"{what} must be an integer, got {v!r}")
         # the normality summary of each cell needs 4 estimates
         if self.replications < 4:
             raise ValueError("need at least 4 replications")
@@ -211,9 +218,9 @@ class ExperimentConfig:
             process=ProcessConfig.from_dict(d["process"]),
             estimators=tuple(EstimatorConfig.from_dict(e)
                              for e in d["estimators"]),
-            sample_sizes=tuple(int(n) for n in d["sample_sizes"]),
-            replications=int(d.get("replications", DEFAULT_REPLICATIONS)),
-            seed=int(d.get("seed", 0)),
+            sample_sizes=tuple(d["sample_sizes"]),
+            replications=d.get("replications", DEFAULT_REPLICATIONS),
+            seed=d.get("seed", 0),
             lrv=_lrv_from_dict(d["lrv"]) if "lrv" in d else None,
             ci_level=float(d.get("ci_level", 0.95)),
         )

@@ -298,6 +298,46 @@ def test_simulate_output_is_pinned(capsys):
         "e724f65e61edbf805c5f212ddaae77760dee148a3c0d2032cecc87df999c432c")
 
 
+def test_simulate_rejects_options_its_route_does_not_read(tmp_path,
+                                                          capsys):
+    cfg = tmp_path / "process.json"
+    cfg.write_text(json.dumps({"kind": "ar1", "rho": 0.5}))
+    out = tmp_path / "sim.csv"
+    for extra, option, route in (
+            (["--model", "iid", "--rho", "0.9"], "--rho", "--model iid"),
+            (["--model", "iid", "--burn-in", "-5"], "--burn-in",
+             "--model iid"),
+            (["--model", "ar1", "--burn-in", "10"], "--burn-in",
+             "--model ar1"),
+            (["--model", "ar1", "--config", str(cfg), "--rho", "0.9"],
+             "--rho", "--config"),
+            (["--model", "egarch", "--config", str(cfg), "--burn-in", "9"],
+             "--burn-in", "--config")):
+        assert run_cli(["simulate", "--n", "5", "--out", str(out)]
+                       + extra) == 1
+        assert (f"{option} is not read with {route}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+    # the config route alone still runs
+    assert run_cli(["simulate", "--model", "ar1", "--config", str(cfg),
+                    "--n", "5", "--out", str(out)]) == 0
+    assert read_series(out).shape == (5,)
+
+
+def test_simulate_defaults_equal_the_given_options(capsys):
+    for model, given in (("ar1", ["--rho", "0.8"]),
+                         ("egarch", ["--rho", "0.8", "--burn-in", "500"])):
+        argv = ["simulate", "--model", model, "--n", "40", "--seed", "3"]
+        assert run_cli(argv) == 0
+        default = capsys.readouterr().out
+        assert run_cli(argv + given) == 0
+        assert capsys.readouterr().out == default
+    # the options each route reads still change the path
+    argv = ["simulate", "--model", "egarch", "--n", "40", "--seed", "3"]
+    assert run_cli(argv + ["--burn-in", "0"]) == 0
+    assert capsys.readouterr().out != default
+
+
 @pytest.mark.parametrize("model", ["iid", "ar1", "egarch"])
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_simulate_rejects_n_below_one(tmp_path, capsys, model, n):
@@ -387,6 +427,14 @@ def test_experiment_command_rejects_duplicate_labels(tmp_path, capsys):
                         "--out", str(out)]) == 1
         assert "subsample must be an integer" in capsys.readouterr().err
         assert not out.exists()
+    # a non-integral count fails too, instead of being truncated
+    cfg.update(estimators=[q_sub], replications=8.9)
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(out)]) == 1
+    assert "replications must be an integer, got 8.9" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):

@@ -1,6 +1,6 @@
-"""Start-up cost: glstat imports neither scipy.stats nor scipy.signal
-nor concurrent.futures, and only the commands that need a normal
-quantile load scipy.special.
+"""Start-up cost: glstat loads no scipy module in any command and
+imports no concurrent.futures, and every command runs with scipy
+unavailable.
 
 Each check runs in a fresh interpreter, since the test process itself
 has loaded scipy for other tests."""
@@ -63,11 +63,48 @@ def test_commands_without_a_quantile_load_no_scipy(argv, series_csv,
     assert modules_after(statement, tmp_path) == set()
 
 
-def test_ci_loads_no_scipy_stats(series_csv, tmp_path):
-    statement = ("from glstat.cli import run_cli\n"
-                 "assert run_cli(['ci', '--estimator', 'gini', "
-                 "'--input', 'x.csv']) == 0")
-    loaded = modules_after(statement, tmp_path)
-    assert "scipy.special" in loaded
-    assert "scipy.stats" not in loaded
-    assert "scipy.signal" not in loaded
+# ci and experiment (intervals and QQ points) take normal quantiles
+QUANTILE_COMMANDS = (
+    ["ci", "--estimator", "gini", "--input", "x.csv"],
+    ["ci", "--estimator", "q", "--m", "3", "--input", "x.csv"],
+    ["experiment", "--config", "config.json", "--out", "out"],
+)
+
+
+@pytest.fixture
+def experiment_config(tmp_path):
+    # lrv set, so each replication runs a Gini interval
+    (tmp_path / "config.json").write_text(json.dumps({
+        "process": {"kind": "iid_gaussian"},
+        "estimators": [{"name": "gini"}],
+        "sample_sizes": [30],
+        "replications": 4,
+        "seed": 7,
+        "lrv": {"weight": "bartlett"},
+    }))
+    return "config.json"
+
+
+def test_ci_and_experiment_load_no_scipy(series_csv, experiment_config,
+                                         tmp_path):
+    statement = "from glstat.cli import run_cli\n" + "".join(
+        f"assert run_cli({argv!r}) == 0\n" for argv in QUANTILE_COMMANDS)
+    assert modules_after(statement, tmp_path) == set()
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_commands_run_without_scipy(series_csv, experiment_config,
+                                    tmp_path):
+    # a finder placed first refuses every scipy import, as if scipy were
+    # not installed
+    statement = (
+        "import importlib.abc\n"
+        "class NoScipy(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'no module named {name!r}')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from glstat.cli import run_cli\n" + "".join(
+            f"assert run_cli({argv!r}) == 0\n" for argv in QUANTILE_COMMANDS))
+    assert modules_after(statement, tmp_path) == set()
+    assert (tmp_path / "out" / "manifest.json").exists()

@@ -239,6 +239,54 @@ def test_normal_critical_value():
         assert float(normal_quantile(p)) == float(norm.ppf(p))
 
 
+def _same_doubles(a, b) -> bool:
+    # == elementwise, NaN matching NaN
+    a, b = np.asarray(a), np.asarray(b)
+    return bool(np.all((a == b) | (np.isnan(a) & np.isnan(b))))
+
+
+def test_normal_quantile_equals_scipy_ndtri_bit_for_bit():
+    from scipy.special import ndtri
+    rng = np.random.default_rng(20261019)
+    p = np.concatenate([
+        rng.uniform(size=200_000),
+        10.0 ** rng.uniform(-300.0, 0.0, size=20_000),  # lower tail
+        1.0 - rng.uniform(0.0, 1e-3, size=20_000),  # upper tail
+        (np.arange(1, 10_001) - 0.5) / 10_000,  # a QQ grid
+        [0.0, 0.5, 0.75, 0.95, 0.975, 0.995, 1.0],
+    ])
+    assert p.size == 250_007
+    assert _same_doubles(normal_quantile(p), ndtri(p))
+
+
+def test_normal_quantile_edges():
+    from scipy.special import ndtri
+    tiny = 5e-324  # the smallest subnormal
+    edges = [0.0, 1.0, -0.1, 1.1, float("nan"), tiny, 1.0 - 2.0 ** -53]
+    for p in edges:
+        assert _same_doubles(normal_quantile(p), ndtri(p))
+    assert normal_quantile(0.0) == -np.inf
+    assert normal_quantile(1.0) == np.inf
+    for p in (-0.1, 1.1, float("nan"), -np.inf, np.inf):
+        assert np.isnan(normal_quantile(p))
+    assert np.isfinite(normal_quantile(tiny))
+    assert normal_quantile(1.0 - 2.0 ** -53) > 8.0
+    assert _same_doubles(normal_quantile(np.array(edges)), ndtri(edges))
+
+
+def test_normal_quantile_keeps_scalar_and_array_types():
+    from scipy.special import ndtri
+    # a Python float, the gl_confidence_interval caller
+    assert float(normal_quantile(0.975)) == float(ndtri(0.975))
+    for p in (np.array(0.3), np.array([0.1, 0.5, 0.9]), np.array([]),
+              np.linspace(0.01, 0.99, 6).reshape(2, 3)):
+        got, want = normal_quantile(p), ndtri(p)
+        assert type(got) is type(want)
+        assert np.shape(got) == p.shape
+        assert got.dtype == np.float64
+        assert _same_doubles(got, want)
+
+
 def test_influence_kernel_between_and_beyond_kernel_values():
     # h(x, y) = x + y on [0, 1, 2, 5]: the projection rows reach values
     # that are not kernel values of the sample, h(2, 2) = 4 between

@@ -352,6 +352,23 @@ def test_sample_sizes_below_one_are_rejected():
         ExperimentConfig.from_dict(d)
 
 
+def test_non_integral_counts_are_rejected_not_truncated():
+    base = small_config().to_dict()
+    for key, value, what, shown in (
+            ("sample_sizes", [100.7], "sample size", "100.7"),
+            ("sample_sizes", [50, 60.0], "sample size", "60.0"),
+            ("replications", 8.9, "replications", "8.9"),
+            ("replications", 20.0, "replications", "20.0"),
+            ("seed", 2.5, "seed", "2.5")):
+        with pytest.raises(ValueError,
+                           match=f"{what} must be an integer, got {shown}"):
+            ExperimentConfig.from_dict(dict(base, **{key: value}))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        small_config(seed=1000.0)
+    # numpy integers are integers
+    assert small_config(sample_sizes=(np.int64(30), 60)) == small_config()
+
+
 def test_config_with_output_dir_key_loads(tmp_path):
     # configs written before output_dir was dropped still load
     d = small_config().to_dict()
