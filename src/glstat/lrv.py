@@ -425,8 +425,6 @@ def normal_quantile(p):
     type as scipy.special.ndtri (0 -> -inf, 1 -> +inf, NaN or p outside
     [0, 1] -> NaN).  A Python number or a 0-d input gives a numpy
     float64 scalar, any other input an array of its shape."""
-    if isinstance(p, (int, float)):
-        return np.float64(_ndtri(float(p)))
     a = np.asarray(p, dtype=float)
     out = np.array([_ndtri(v) for v in a.ravel().tolist()], dtype=float)
     return out.reshape(a.shape)[()]

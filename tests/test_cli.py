@@ -338,6 +338,17 @@ def test_simulate_defaults_equal_the_given_options(capsys):
     assert capsys.readouterr().out != default
 
 
+def test_simulate_verbose_echoes_the_burn_in_it_reads(capsys):
+    # a route that does not read --burn-in echoes None, not a default
+    for model, burn_in in (("iid", "None"), ("ar1", "None"),
+                           ("egarch", "500")):
+        assert run_cli(["simulate", "--model", model, "--n", "2",
+                        "--seed", "1", "--verbose"]) == 0
+        assert capsys.readouterr().err == (
+            "# estimator=None m=None alpha=None bandwidth=None "
+            f"normalization=None density_c=None burn_in={burn_in}\n")
+
+
 @pytest.mark.parametrize("model", ["iid", "ar1", "egarch"])
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_simulate_rejects_n_below_one(tmp_path, capsys, model, n):
