@@ -15,14 +15,11 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import GlstatError
-from .gl import (
-    estimator_c,
-    estimator_gini,
-    estimator_lms,
-    estimator_q,
-    gini_gl_spec,
-    q_gl_spec,
-)
+from .gl import ESTIMATORS, GL_SPEC_NAMES, gl_spec, point_estimate
+# estimator_* are unused here but stay module attributes:
+# perfbench/tracing.py times the estimators by rebinding cli.estimator_*
+from .gl import (estimator_c, estimator_gini,  # noqa: F401
+                 estimator_lms, estimator_q)
 from .kernels import builtin_kernel
 from .lrv import (
     BandwidthPolicy,
@@ -56,6 +53,14 @@ def read_series(path) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
+# the process kind of each --model; a --config must agree with it
+_MODEL_KINDS = {"iid": "iid_gaussian", "ar1": "ar1", "garch11": "garch11",
+                "egarch": "egarch"}
+# the options each --model reads without --config, with their defaults
+_SIMULATE_OPTIONS = {"iid": {}, "ar1": {"rho": 0.8},
+                     "egarch": {"rho": 0.8, "burn_in": 500}}
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args keeps no state between calls
@@ -65,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_estimator_flags(sp):
         sp.add_argument("--estimator", required=True,
-                        choices=["gini", "gini_os", "q", "c", "lms"])
+                        choices=tuple(ESTIMATORS))
         sp.add_argument("--input", required=True)
         sp.add_argument("--m", type=int, default=3)
         sp.add_argument("--alpha", type=float, default=0.5)
@@ -83,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--density-c", type=float, default=0.5)
 
     sp = sub.add_parser("lrv", help="long-run variance estimate")
-    sp.add_argument("--estimator", choices=["gini", "gini_os", "q"])
+    sp.add_argument("--estimator", choices=GL_SPEC_NAMES)
     sp.add_argument("--kernel",
                     choices=["gini_abs_diff", "min_pairwise", "range",
                              "identity"])
@@ -94,8 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_lrv_flags(sp)
 
     sp = sub.add_parser("ci", help="CLT confidence interval")
-    sp.add_argument("--estimator", required=True,
-                    choices=["gini", "gini_os", "q"])
+    sp.add_argument("--estimator", required=True, choices=GL_SPEC_NAMES)
     sp.add_argument("--input", required=True)
     sp.add_argument("--level", type=float, default=0.95)
     sp.add_argument("--m", type=int, default=3)
@@ -104,8 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_lrv_flags(sp)
 
     sp = sub.add_parser("simulate", help="simulate a process path")
-    sp.add_argument("--model", required=True,
-                    choices=["iid", "ar1", "garch11", "egarch"])
+    sp.add_argument("--model", required=True, choices=tuple(_MODEL_KINDS))
     sp.add_argument("--config", help="JSON process config (see docs)")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
@@ -132,26 +135,6 @@ def _make_lrv_config(args) -> LrvConfig:
                      normalization=args.normalization)
 
 
-def _gl_spec_for(name: str, args):
-    if name in ("gini", "gini_os"):
-        return gini_gl_spec()
-    if name == "q":
-        return q_gl_spec(m=args.m, alpha=args.alpha)
-    raise GlstatError(f"no GL variance form available for {name!r}")
-
-
-def _point_estimate(args, x) -> float:
-    if args.estimator in ("gini", "gini_os"):
-        return estimator_gini(x)
-    if args.estimator == "q":
-        return estimator_q(x, m=args.m, alpha=args.alpha)
-    if args.estimator == "c":
-        return estimator_c(x, alpha=args.alpha, c_alpha=args.c_alpha)
-    if args.estimator == "lms":
-        return estimator_lms(x)
-    raise GlstatError(f"unknown estimator {args.estimator!r}")
-
-
 def _echo_defaults(args) -> None:
     print(f"# estimator={getattr(args, 'estimator', None)} "
           f"m={getattr(args, 'm', None)} alpha={getattr(args, 'alpha', None)} "
@@ -166,7 +149,7 @@ def _cmd_estimate(args) -> int:
     x = read_series(args.input)
     if args.verbose:
         _echo_defaults(args)
-    print(_fmt(_point_estimate(args, x)))
+    print(_fmt(point_estimate(args.estimator, x, args)))
     return 0
 
 
@@ -183,7 +166,7 @@ def _cmd_lrv(args) -> int:
         return 0
     if not args.estimator:
         raise GlstatError("lrv needs either --estimator or --kernel")
-    rep = lrv_gl(x, _gl_spec_for(args.estimator, args), cfg)
+    rep = lrv_gl(x, gl_spec(args.estimator, args), cfg)
     print(f"sigma2_gl={_fmt(rep.sigma2_gl)} "
           f"m2_sigma2_gl={_fmt(rep.m2_sigma2_gl)} "
           f"raw={_fmt(rep.sigma2_raw)} bandwidth={_fmt(rep.bandwidth_used)} "
@@ -196,15 +179,10 @@ def _cmd_ci(args) -> int:
     cfg = _make_lrv_config(args)
     if args.verbose:
         _echo_defaults(args)
-    lo, hi = gl_confidence_interval(x, _gl_spec_for(args.estimator, args),
-                                    cfg, level=args.level)
+    lo, hi = gl_confidence_interval(x, gl_spec(args.estimator, args), cfg,
+                                    level=args.level)
     print(f"{_fmt(lo)},{_fmt(hi)}")
     return 0
-
-
-# the options each --model reads without --config, with their defaults
-_SIMULATE_OPTIONS = {"iid": {}, "ar1": {"rho": 0.8},
-                     "egarch": {"rho": 0.8, "burn_in": 500}}
 
 
 def _cmd_simulate(args) -> int:
@@ -225,6 +203,10 @@ def _cmd_simulate(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             import json
             process = ProcessConfig.from_dict(json.load(fh))
+        kind = _MODEL_KINDS[args.model]
+        if process.kind != kind:
+            raise GlstatError(f"--model {args.model} simulates {kind!r}, "
+                              f"but the config's kind is {process.kind!r}")
     elif args.model == "iid":
         process = ProcessConfig(kind="iid_gaussian")
     elif args.model == "ar1":

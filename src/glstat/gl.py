@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, floor
-from typing import Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -259,3 +259,49 @@ def c_gl_spec(n: int, alpha: float, c_alpha: float = 1.0) -> GLSpec:
     return GLSpec(kernel=builtin_kernel("range", {"m": m}),
                   discrete=((c_alpha, 1.0 / N),),
                   quantile_convention="floor_bracket")
+
+
+class CatalogEntry(NamedTuple):
+    """One catalog estimator: the point estimator, the options among
+    ``m``, ``alpha`` and ``c_alpha`` that it reads, and the builder of
+    its GL spec from those same options, or None when it has none."""
+
+    estimator: Callable[..., float]
+    options: Tuple[str, ...]
+    spec: Optional[Callable[..., GLSpec]]
+
+
+# the one name -> computation table that the CLI and the Monte Carlo
+# harness read, in the order the CLI lists the names
+ESTIMATORS = {
+    "gini": CatalogEntry(estimator_gini, (), gini_gl_spec),
+    "gini_os": CatalogEntry(estimator_gini, (), gini_gl_spec),
+    "q": CatalogEntry(estimator_q, ("m", "alpha"), q_gl_spec),
+    "c": CatalogEntry(estimator_c, ("alpha", "c_alpha"), None),
+    "lms": CatalogEntry(estimator_lms, (), None),
+}
+
+# the names with a GL variance form, so with an interval
+GL_SPEC_NAMES = tuple(name for name, e in ESTIMATORS.items() if e.spec)
+
+
+def _catalog(name: str, opts) -> Tuple[CatalogEntry, dict]:
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {name!r}")
+    entry = ESTIMATORS[name]
+    return entry, {k: getattr(opts, k) for k in entry.options}
+
+
+def point_estimate(name: str, sample, opts) -> float:
+    """The catalog estimate ``name`` of ``sample``.  The options it reads
+    are attributes of ``opts``: an argparse namespace or an
+    EstimatorConfig."""
+    entry, kwargs = _catalog(name, opts)
+    return entry.estimator(sample, **kwargs)
+
+
+def gl_spec(name: str, opts) -> Optional[GLSpec]:
+    """The GL spec of the catalog estimator ``name``, built from the
+    options it reads (attributes of ``opts``), or None if it has none."""
+    entry, kwargs = _catalog(name, opts)
+    return entry.spec(**kwargs) if entry.spec is not None else None

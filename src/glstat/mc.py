@@ -21,13 +21,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateVarianceError, GlstatError
-from .gl import (
-    estimator_c,
-    estimator_gini,
-    estimator_lms,
-    estimator_q,
-    gini_gl_spec,
-)
+from .gl import ESTIMATORS, gl_spec, point_estimate
+# estimator_* are unused here but stay module attributes:
+# perfbench/tracing.py times the estimators by rebinding mc.estimator_*
+from .gl import (estimator_c, estimator_gini,  # noqa: F401
+                 estimator_lms, estimator_q)
 from .lrv import (
     BandwidthPolicy,
     LrvConfig,
@@ -45,6 +43,7 @@ from .processes import (
 from .ustat import as_sample
 
 DEFAULT_REPLICATIONS = 500
+PROCESS_KINDS = ("iid_gaussian", "ar1", "garch11", "egarch")
 _Q_CHUNK_ROWS = 1 << 15  # index rows drawn per chunk in q_subsampled
 _Q_BRACKET_SD = 8  # half-width of q_subsampled's bracket, in binomial sd
 
@@ -55,12 +54,22 @@ _Q_BRACKET_SD = 8  # half-width of q_subsampled's bracket, in binomial sd
 class ProcessConfig:
     """Descriptor of the data-generating process for one experiment."""
 
-    kind: str  # iid_gaussian | ar1 | garch11 | egarch
+    kind: str  # one of PROCESS_KINDS
     rho: float = 0.0  # AR(1) coefficient (process or EGARCH innovations)
     burn_in: int = 500
     egarch: Optional[EgarchParams] = None
     garch: Optional[Tuple[float, float, float]] = None  # alpha0, alpha1, beta1
     innovation_kind: str = "iid_gaussian"
+
+    def __post_init__(self):
+        # checked when built: a float burn-in would reach the generator
+        # as a length, an unknown kind would fail only once simulated
+        if self.kind not in PROCESS_KINDS:
+            raise ValueError(f"unknown process kind {self.kind!r}")
+        if (not isinstance(self.burn_in, numbers.Integral)
+                or self.burn_in < 0):
+            raise ValueError(f"burn_in must be an integer >= 0, "
+                             f"got {self.burn_in!r}")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "rho": self.rho, "burn_in": self.burn_in,
@@ -113,7 +122,7 @@ class EstimatorConfig:
     incomplete-U-statistic mode with that many random index subsets per
     replication."""
 
-    name: str  # gini | gini_os | q | c | lms
+    name: str  # a name in gl.ESTIMATORS
     m: int = 3
     alpha: float = 0.5
     c_alpha: float = 1.0
@@ -122,6 +131,8 @@ class EstimatorConfig:
     def __post_init__(self):
         # checked when built, so that an experiment fails before any cell
         # runs: a negative subsample would silently run exact Q
+        if self.name not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {self.name!r}")
         if (not isinstance(self.subsample, numbers.Integral)
                 or self.subsample < 0):
             raise ValueError(f"subsample must be an integer >= 0, "
@@ -193,6 +204,9 @@ class ExperimentConfig:
         for n in self.sample_sizes:
             if n < 1:
                 raise ValueError(f"sample sizes must be >= 1, got {n}")
+        if not 0.0 < self.ci_level < 1.0:
+            raise ValueError(f"ci_level must be in (0, 1), "
+                             f"got {self.ci_level!r}")
         # labels key the cells, the report file names and the RNG streams
         labels = [e.label for e in self.estimators]
         for label in labels:
@@ -261,13 +275,12 @@ def simulate_path(process: ProcessConfig, n: int,
         z = simulate_innovations(model, n + process.burn_in, rng)
         a0, a1, b1 = process.garch
         return simulate_garch11(a0, a1, b1, z, sim)
-    if process.kind == "egarch":
-        params = process.egarch
-        lag = max(len(params.alpha), len(params.beta))
-        model = InnovationModel(kind=process.innovation_kind, rho=process.rho)
-        z = simulate_innovations(model, n + process.burn_in + lag, rng)
-        return simulate_egarch(params, z, sim)
-    raise ValueError(f"unknown process kind {process.kind!r}")
+    # egarch, the last of PROCESS_KINDS
+    params = process.egarch
+    lag = max(len(params.alpha), len(params.beta))
+    model = InnovationModel(kind=process.innovation_kind, rho=process.rho)
+    z = simulate_innovations(model, n + process.burn_in + lag, rng)
+    return simulate_egarch(params, z, sim)
 
 
 def _gap_chunks(x: np.ndarray, m: int, n_subsets: int,
@@ -420,19 +433,11 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
 
 def apply_estimator(est: EstimatorConfig, sample,
                     rng: Optional[np.random.Generator] = None) -> float:
-    if est.name in ("gini", "gini_os"):
-        return estimator_gini(sample)
-    if est.name == "q":
-        if est.subsample > 0:
-            if rng is None:
-                raise ValueError("subsampled Q needs an RNG")
-            return q_subsampled(sample, est.m, est.alpha, est.subsample, rng)
-        return estimator_q(sample, m=est.m, alpha=est.alpha)
-    if est.name == "c":
-        return estimator_c(sample, alpha=est.alpha, c_alpha=est.c_alpha)
-    if est.name == "lms":
-        return estimator_lms(sample)
-    raise ValueError(f"unknown estimator {est.name!r}")
+    if est.label == "q_sub":
+        if rng is None:
+            raise ValueError("subsampled Q needs an RNG")
+        return q_subsampled(sample, est.m, est.alpha, est.subsample, rng)
+    return point_estimate(est.name, sample, est)
 
 
 # --- summaries -------------------------------------------------------------
@@ -522,7 +527,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for est in config.estimators:
         for n in config.sample_sizes:
             cell = CellResult(estimator=est.label, n=n,
-                              subsampled=est.name == "q" and est.subsample > 0)
+                              subsampled=est.label == "q_sub")
             report.cells[(est.label, n)] = cell
             try:
                 _run_cell(config, est, n, cell)
@@ -535,15 +540,17 @@ def _run_cell(config: ExperimentConfig, est: EstimatorConfig, n: int,
               cell: CellResult) -> None:
     r = config.replications
     estimates = np.empty(r)
-    want_ci = config.lrv is not None and est.name in ("gini", "gini_os")
+    # an interval for every estimator with a GL spec; q_sub has none
+    spec = (gl_spec(est.name, est)
+            if config.lrv is not None and not cell.subsampled else None)
     intervals: List[Tuple[float, float]] = []
     for rep in range(r):
         rng = _cell_rng(config.seed, est.label, n, rep)
         path = simulate_path(config.process, n, rng)
         estimates[rep] = apply_estimator(est, path, rng)
-        if want_ci:
+        if spec is not None:
             intervals.append(gl_confidence_interval(
-                path, gini_gl_spec(), config.lrv, level=config.ci_level))
+                path, spec, config.lrv, level=config.ci_level))
     cell.estimates = estimates
     sd = estimates.std(ddof=1)
     if sd == 0.0:
@@ -553,7 +560,7 @@ def _run_cell(config: ExperimentConfig, est: EstimatorConfig, n: int,
     cell.standardized = (estimates - estimates.mean()) / sd
     cell.qq = qq_points(estimates)
     cell.summary = normality_summary(estimates)
-    if want_ci:
+    if spec is not None:
         grand_mean = float(estimates.mean())
         hits = sum(1 for lo, hi in intervals if lo <= grand_mean <= hi)
         cell.coverage = hits / r

@@ -7,8 +7,19 @@ import numpy as np
 import pytest
 from min_pairwise_oracle import q_interval
 
-from glstat import GlstatError, builtin_kernel
+from glstat import (
+    EstimatorConfig,
+    GlstatError,
+    builtin_kernel,
+    egarch_scenario,
+    estimator_c,
+    estimator_gini,
+    estimator_lms,
+    estimator_q,
+    gl_statistic,
+)
 from glstat.cli import _build_parser, read_series, run_cli
+from glstat.gl import ESTIMATORS, gl_spec, point_estimate
 from glstat.ustat import tail_sums
 
 
@@ -139,6 +150,42 @@ def test_estimate_gini_at_study_size(tmp_path, capsys, name):
     half = 1.959963984540054 * 2.0 * np.sqrt(sigma2 / n)
     assert lo == pytest.approx(want - half, rel=1e-9)
     assert hi == pytest.approx(want + half, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_estimator_catalog(name):
+    # estimate takes every catalog name; lrv and ci take exactly those
+    # with a GL spec, whose statistic is the point estimate itself
+    has_spec = name in ("gini", "gini_os", "q")
+    flags = ["--estimator", name, "--input", "s.csv", "--m", "4",
+             "--alpha", "0.25"]
+    parser = _build_parser()
+    args = parser.parse_args(["estimate"] + flags + ["--c-alpha", "2"])
+    for command in ("lrv", "ci"):
+        if has_spec:
+            assert parser.parse_args([command] + flags).estimator == name
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command] + flags)
+            assert exc.value.code == 2
+    # each estimator reads its own options, from the parsed flags and
+    # from an experiment's config alike
+    x = np.random.default_rng(163).standard_normal(30)
+    want = {"gini": lambda: estimator_gini(x),
+            "gini_os": lambda: estimator_gini(x),
+            "q": lambda: estimator_q(x, m=4, alpha=0.25),
+            "c": lambda: estimator_c(x, alpha=0.25, c_alpha=2.0),
+            "lms": lambda: estimator_lms(x)}[name]()
+    config = EstimatorConfig(name=name, m=4, alpha=0.25, c_alpha=2.0)
+    assert point_estimate(name, x, args) == want
+    assert point_estimate(name, x, config) == want
+    spec = gl_spec(name, args)
+    assert (spec is not None) == has_spec
+    assert gl_spec(name, config) == spec
+    if has_spec:
+        assert gl_statistic(x, spec) == want
+    with pytest.raises(ValueError, match="unknown estimator 'ginni'"):
+        point_estimate("ginni", x, args)
 
 
 def test_estimate_lms(tmp_path, capsys):
@@ -302,21 +349,30 @@ def test_simulate_rejects_options_its_route_does_not_read(tmp_path,
                                                           capsys):
     cfg = tmp_path / "process.json"
     cfg.write_text(json.dumps({"kind": "ar1", "rho": 0.5}))
+    half_burn = tmp_path / "half_burn.json"
+    half_burn.write_text(json.dumps(dict(egarch_scenario(1).to_dict(),
+                                         burn_in=500.5)))
     out = tmp_path / "sim.csv"
-    for extra, option, route in (
-            (["--model", "iid", "--rho", "0.9"], "--rho", "--model iid"),
-            (["--model", "iid", "--burn-in", "-5"], "--burn-in",
-             "--model iid"),
-            (["--model", "ar1", "--burn-in", "10"], "--burn-in",
-             "--model ar1"),
+    for extra, err in (
+            (["--model", "iid", "--rho", "0.9"],
+             "--rho is not read with --model iid"),
+            (["--model", "iid", "--burn-in", "-5"],
+             "--burn-in is not read with --model iid"),
+            (["--model", "ar1", "--burn-in", "10"],
+             "--burn-in is not read with --model ar1"),
             (["--model", "ar1", "--config", str(cfg), "--rho", "0.9"],
-             "--rho", "--config"),
+             "--rho is not read with --config"),
             (["--model", "egarch", "--config", str(cfg), "--burn-in", "9"],
-             "--burn-in", "--config")):
+             "--burn-in is not read with --config"),
+            # --model and the config's kind must agree
+            (["--model", "egarch", "--config", str(cfg)],
+             "--model egarch simulates 'egarch', but the config's kind "
+             "is 'ar1'"),
+            (["--model", "egarch", "--config", str(half_burn)],
+             "burn_in must be an integer >= 0, got 500.5")):
         assert run_cli(["simulate", "--n", "5", "--out", str(out)]
                        + extra) == 1
-        assert (f"{option} is not read with {route}"
-                in capsys.readouterr().err)
+        assert err in capsys.readouterr().err
         assert not out.exists()
     # the config route alone still runs
     assert run_cli(["simulate", "--model", "ar1", "--config", str(cfg),
@@ -446,6 +502,21 @@ def test_experiment_command_rejects_duplicate_labels(tmp_path, capsys):
     assert "replications must be an integer, got 8.9" in (
         capsys.readouterr().err)
     assert not out.exists()
+    # so do an unknown estimator name, a level outside (0, 1), and a
+    # process of unknown kind or with a non-integral burn-in
+    for key, value, err in (
+            ("estimators", [{"name": "ginni"}], "unknown estimator 'ginni'"),
+            ("ci_level", 1.5, "ci_level must be in (0, 1), got 1.5"),
+            ("process", {"kind": "egarc"}, "unknown process kind 'egarc'"),
+            ("process", dict(egarch_scenario(1).to_dict(), burn_in=500.5),
+             "burn_in must be an integer >= 0, got 500.5")):
+        bad = dict(cfg, replications=8, lrv={"weight": "bartlett"},
+                   **{key: value})
+        cfg_path.write_text(json.dumps(bad))
+        assert run_cli(["experiment", "--config", str(cfg_path),
+                        "--out", str(out)]) == 1
+        assert err in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):

@@ -293,8 +293,9 @@ def test_simulate_path_kinds():
     garch = ProcessConfig(kind="garch11", garch=(0.5, 0.1, 0.4))
     assert simulate_path(garch, 100, make_rng(17)).shape == (100,)
     assert simulate_path(egarch_scenario(1), 100, make_rng(17)).shape == (100,)
-    with pytest.raises(ValueError):
-        simulate_path(ProcessConfig(kind="nope"), 10, make_rng(0))
+    # an unknown kind fails when the process is built, not simulated
+    with pytest.raises(ValueError, match="unknown process kind 'nope'"):
+        ProcessConfig(kind="nope")
     # n is checked for every kind before anything is drawn
     for process in (ProcessConfig(kind="iid_gaussian"),
                     ProcessConfig(kind="ar1", rho=0.5), garch,
@@ -340,6 +341,10 @@ def test_duplicate_estimator_labels_are_rejected():
     d = small_config().to_dict()
     d["estimators"].append(d["estimators"][0])
     with pytest.raises(ValueError, match="duplicate estimator label 'gini'"):
+        ExperimentConfig.from_dict(d)
+    # a name outside the catalog fails before any cell runs, too
+    d["estimators"][-1] = {"name": "ginni"}
+    with pytest.raises(ValueError, match="unknown estimator 'ginni'"):
         ExperimentConfig.from_dict(d)
 
 
@@ -419,13 +424,17 @@ def test_invalid_estimator_option_is_a_cell_error():
     assert c.error.startswith("ValueError: alpha must be in (0, 0.5)")
 
 
-def test_coverage_computed_for_gini_with_lrv(tmp_path):
-    cfg = small_config(estimators=(EstimatorConfig(name="gini"),),
+@pytest.mark.parametrize("name", ["gini", "q"])
+def test_coverage_computed_with_lrv(tmp_path, name):
+    # every estimator with a GL spec gets intervals; exact Q through
+    # q_gl_spec, Gini through gini_gl_spec
+    cfg = small_config(estimators=(EstimatorConfig(name=name),),
                        sample_sizes=(50,), replications=10,
                        lrv=LrvConfig())
     report = run_experiment(cfg)
-    cov = report.cells[("gini", 50)].coverage
-    assert cov is not None and 0.0 <= cov <= 1.0
+    cell = report.cells[(name, 50)]
+    assert cell.error is None
+    assert cell.coverage is not None and 0.0 <= cell.coverage <= 1.0
     # the lag window is Bartlett, and config.json says so
     write_report(report, tmp_path / "out")
     written = json.loads((tmp_path / "out" / "config.json").read_text())
