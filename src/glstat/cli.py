@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import os
 import sys
 from typing import List, Optional
@@ -43,14 +44,25 @@ from .processes import make_rng
 def read_series(path) -> np.ndarray:
     """Single-column CSV, with or without an 'x' header on the first row.
     Blank rows and blank first fields are skipped; other columns are
-    ignored."""
+    ignored.  Each cell is parsed by float().
+
+    Universal newlines turn every line ending into \\n.  A text with no
+    quote, comma or NUL then has one csv row per \\n-separated line (not
+    splitlines, which also splits on \\v, \\f and \\x1c-\\x1e), so it
+    skips the csv module; any other text goes through csv.reader."""
     with open(path, "r", encoding="utf-8") as fh:
-        values = [float(cell) for i, row in enumerate(csv.reader(fh))
-                  if row and (cell := row[0].strip())
-                  and (i or cell.lower() != "x")]
-    if not values:
+        text = fh.read()
+    if '"' in text or "," in text or "\x00" in text:
+        rows = (row[0] if row else ""
+                for row in csv.reader(io.StringIO(text)))
+    else:
+        rows = text.split("\n")
+    cells = [cell for i, row in enumerate(rows)
+             if (cell := row.strip()) and (i or cell.lower() != "x")]
+    if not cells:
         raise GlstatError(f"no data in {path}")
-    return np.array(values, dtype=float)
+    # numpy casts each str with float(): the same doubles and errors
+    return np.array(cells, dtype=float)
 
 
 # the process kind of each --model; a --config must agree with it

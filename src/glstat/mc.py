@@ -13,7 +13,7 @@ import hashlib
 import json
 import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, combinations
 from math import ceil, floor, sqrt
 from typing import Dict, List, Optional, Tuple
@@ -50,6 +50,16 @@ _Q_BRACKET_SD = 8  # half-width of q_subsampled's bracket, in binomial sd
 
 # --- configuration ---------------------------------------------------------
 
+def _require_keys(d, what: str, keys: Tuple[str, ...]) -> None:
+    """ValueError unless ``d`` is a dict that holds every one of ``keys``:
+    a malformed config fails as a domain error naming the key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} has no {key!r}")
+
+
 @dataclass(frozen=True)
 class ProcessConfig:
     """Descriptor of the data-generating process for one experiment."""
@@ -70,6 +80,16 @@ class ProcessConfig:
                 or self.burn_in < 0):
             raise ValueError(f"burn_in must be an integer >= 0, "
                              f"got {self.burn_in!r}")
+        # simulate_path reads the parameters of its kind unchecked
+        ga = self.garch
+        if self.kind == "garch11" and not (
+                isinstance(ga, (tuple, list)) and len(ga) == 3
+                and all(isinstance(v, numbers.Real) for v in ga)):
+            raise ValueError(f"process kind 'garch11' needs a garch block "
+                             f"of 3 numbers (alpha0, alpha1, beta1), "
+                             f"got {ga!r}")
+        if self.kind == "egarch" and self.egarch is None:
+            raise ValueError("process kind 'egarch' needs an egarch block")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "rho": self.rho, "burn_in": self.burn_in,
@@ -82,8 +102,11 @@ class ProcessConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ProcessConfig":
+        _require_keys(d, "process config", ("kind",))
         eg = d.get("egarch")
         if eg is not None:
+            _require_keys(eg, "egarch block",
+                          ("alpha0", "alpha", "beta", "theta", "lam"))
             # an absent mean_abs_z takes the dataclass default
             extra = ({"mean_abs_z": eg["mean_abs_z"]} if "mean_abs_z" in eg
                      else {})
@@ -94,7 +117,7 @@ class ProcessConfig:
         return ProcessConfig(
             kind=d["kind"], rho=d.get("rho", 0.0),
             burn_in=d.get("burn_in", 500), egarch=eg,
-            garch=tuple(ga) if ga is not None else None,
+            garch=tuple(ga) if isinstance(ga, list) else ga,
             innovation_kind=d.get("innovation_kind", "iid_gaussian"),
         )
 
@@ -149,6 +172,11 @@ class EstimatorConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "EstimatorConfig":
+        _require_keys(d, "estimator config", ("name",))
+        known = {f.name for f in fields(EstimatorConfig)}
+        for key in d:
+            if key not in known:
+                raise ValueError(f"unknown estimator option {key!r}")
         return EstimatorConfig(**d)
 
 
@@ -228,6 +256,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        _require_keys(d, "experiment config",
+                      ("process", "estimators", "sample_sizes"))
         return ExperimentConfig(
             process=ProcessConfig.from_dict(d["process"]),
             estimators=tuple(EstimatorConfig.from_dict(e)

@@ -15,8 +15,13 @@ sample:
     other kernels         enumerated                      enumerated
 
 Tail sums of a transformed kernel (``tail_sums`` with a transform)
-are enumerated.  Counted H_n (MinPairwiseCounts) gives
-U-quantiles, H_n(t) and per-point tail counts in O(n log^2 n).
+are enumerated.  Counted H_n (MinPairwiseCounts) gives H_n(t) and
+per-point tail counts by counting, and U-quantiles by a selection
+that takes one count per step, O(n log^2 n) in all.  One instance
+remembers every count it takes: a selection starts from the tightest
+bracket those counts give and aims each pivot where they put the rank,
+so the three quantiles of a Q interval take about half the counts of
+a weighted-median search.
 Subsampled variants live in :mod:`glstat.mc` where seeds are managed.
 """
 
@@ -187,13 +192,19 @@ class MinPairwiseCounts:
         self.n, self.m = n, m
         self.size = comb(n, m)
         self._kth: Dict[int, float] = {}
+        # every count taken, by threshold: the brackets of _select
+        self._counts: Dict[float, int] = {}
 
     def count_le(self, t: float) -> int:
         """#{m-subsets with h <= t}: C(n, m) minus the clear m-chains.
         Every kernel value is >= 0, so t < 0 counts none."""
         if t < 0:
             return 0
-        return self.size - int(_chain_prefixes(self.xs, self.m, t)[-1, -1])
+        c = self._counts.get(t)
+        if c is None:
+            c = self.size - int(_chain_prefixes(self.xs, self.m, t)[-1, -1])
+            self._counts[t] = c
+        return c
 
     def cdf(self, t: float) -> float:
         """H_n(t): fraction of kernel values <= t (right-continuous)."""
@@ -238,44 +249,92 @@ class MinPairwiseCounts:
 
         Every kernel value is a gap D[a, b] = xs[b] - xs[a] (a < b),
         and the rows of this implicit matrix are sorted.  Each row keeps
-        its candidate columns [lo, hi); a weighted median of the row
-        medians (Croux & Rousseeuw 1992; Johnson & Mitchell 1978) is
-        counted, and at least a quarter of the candidates drop out:
-        those >= the pivot when count_le(pivot) >= k (the pivot becomes
-        the best upper bound), else those <= it.  The answer, the
+        its candidate columns [lo, hi), the gaps strictly between a lower
+        bound (count c_lo < k) and the best upper bound (count c_hi >=
+        k).  The bounds start as the tightest pair among the counts
+        already taken (count_le keeps them all), so later ranks of one
+        sample start inside the brackets of earlier ones.  Each step
+        counts a pivot aimed at the share f = (k - c_lo) / (c_hi - c_lo)
+        of the candidates, where the counts put the answer (clipped to
+        [0.05, 0.95]): the weighted median of each row's candidate at
+        share f.  (The f-quantile of the row medians aims worse: in a
+        narrow bracket the row medians bunch at its middle.)  The
+        candidates >= the pivot drop out when count_le(pivot) >= k (the
+        pivot becomes the best upper bound), else those <= it.  After a
+        step that drops less than a quarter of them, the next pivot is
+        the weighted median of the row medians (Croux & Rousseeuw 1992;
+        Johnson & Mitchell 1978), which drops at least a quarter.  Once
+        O(n) candidates remain, they are searched sorted, each step at
+        the position the two bounding counts interpolate, or halfway
+        after a step that did not halve the range.  The answer, the
         smallest gap d with count_le(d) >= k, stays among the candidates
-        and the bound; once O(n) candidates remain they are bisected.
+        and the bound throughout, so it depends on none of these
+        choices.
         """
         xs, n = self.xs, self.n
+        t_lo, c_lo = -1.0, 0
+        best, c_hi = float(xs[-1] - xs[0]), self.size  # the largest gap
+        for t, c in self._counts.items():
+            if c < k and t > t_lo:
+                t_lo, c_lo = t, c
+            elif c >= k and t < best:
+                best, c_hi = t, c
         lo = np.arange(1, n + 1)
         hi = np.full(n, n)
-        best = float(xs[-1] - xs[0])  # the largest gap: count_le == N
-        while (hi - lo).sum() > n:
+
+        def drop_le(t):  # the first column of each row with a gap > t
+            return _first_false(lambda a, b: xs[b] - xs[a] <= t, lo, hi,
+                                np.searchsorted(xs, xs + t, "right"))
+
+        def drop_ge(t):  # the first column of each row with a gap >= t
+            return _first_false(lambda a, b: xs[b] - xs[a] < t, lo, hi,
+                                np.searchsorted(xs, xs + t))
+
+        if t_lo >= 0:
+            lo = drop_le(t_lo)
+        hi = drop_ge(best)
+        left, aim = int((hi - lo).sum()), True
+        while left > n:
             rows = np.flatnonzero(hi > lo)
             cnt = hi[rows] - lo[rows]
-            med = xs[lo[rows] + (cnt - 1) // 2] - xs[rows]
-            order = np.argsort(med)
+            share = (min(max((k - c_lo) / (c_hi - c_lo), 0.05), 0.95)
+                     if aim else 0.5)
+            # each row's candidate at that share (its median at 1/2)
+            at = xs[lo[rows] + ((cnt - 1) * share).astype(np.int64)] - xs[rows]
+            order = np.argsort(at)
             cum = np.cumsum(cnt[order])
-            pivot = float(med[order[np.searchsorted(cum, cum[-1] / 2)]])
-            if self.count_le(pivot) >= k:
-                best = pivot
-                hi = _first_false(lambda a, b: xs[b] - xs[a] < pivot, lo, hi,
-                                  np.searchsorted(xs, xs + pivot))
+            pivot = float(at[order[np.searchsorted(cum, cum[-1] / 2)]])
+            c = self.count_le(pivot)
+            if c >= k:
+                best, c_hi = pivot, c
+                hi = drop_ge(pivot)
             else:
-                lo = _first_false(lambda a, b: xs[b] - xs[a] <= pivot, lo, hi,
-                                  np.searchsorted(xs, xs + pivot, "right"))
+                c_lo = c
+                lo = drop_le(pivot)
+            was, left = left, int((hi - lo).sum())
+            aim = 4 * (was - left) >= was
         cnt = hi - lo
         rows = np.repeat(np.arange(n), cnt)
         cols = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
         cand = np.unique(np.append(xs[cols] - xs[rows], best))
-        a, b = 0, cand.size - 1
+        # cand[b] counts c_hi >= k, the gap below cand[a] counts c_lo < k
+        a, b, aim = 0, cand.size - 1, True
         while a < b:
-            mid = (a + b) // 2
-            if self.count_le(float(cand[mid])) >= k:
-                b = mid
+            if aim:
+                step = -(-(k - c_lo) * (b - a + 1) // (c_hi - c_lo))
+                mid = min(max(a + step - 1, a), b - 1)
             else:
-                a = mid + 1
-        return float(cand[a])
+                mid = (a + b) // 2
+            c = self.count_le(float(cand[mid]))
+            was = b - a
+            if c >= k:
+                b, c_hi = mid, c
+            else:
+                a, c_lo = mid + 1, c
+            aim = 2 * (b - a) <= was
+        # a sample holding both 0.0 and -0.0 has gaps of either sign of
+        # zero; + 0.0 returns +0.0 whichever the search met first
+        return float(cand[a]) + 0.0
 
 
 # --- closed forms of catalog kernels ----------------------------------------

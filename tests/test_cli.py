@@ -110,6 +110,37 @@ def test_read_series_matches_the_generator_reader(tmp_path):
     assert read_series(p).tobytes() == x.tobytes()
 
 
+def test_read_series_plain_path_matches_the_generator_reader(tmp_path,
+                                                            monkeypatch):
+    # texts without a quote, comma or NUL skip csv: with glstat.cli's csv
+    # taken away they still read as the frozen csv reader reads them
+    plain = [
+        "x\n\t1.5\t\n2\t\n",  # tabs
+        "x\n\x0b1.5\x0c\n\xa0-2\xa0\n",  # \v, \f and NBSP around a cell
+        "x\n1 2\n",  # an inner space: float()'s ValueError
+        "x\r\n1.5\x0b2\r\n",  # \v inside a cell is not a line break
+        "x\n1.5\x1c2\n",  # nor is \x1c
+        "\nx\n1.0\n",  # x after a leading blank line is not the header
+        "x\n1.0\n-2.5",  # no trailing newline
+        "\n\n  \n\t\n",  # blank lines only
+        "1_000\n٣\n inf \n-0.0\n1e-320\n",  # what float() accepts
+        "x\r1.5\r\n-2\n3\r",  # mixed line endings
+    ]
+    expected = []
+    for k, text in enumerate(plain):
+        p = tmp_path / f"plain{k}.csv"
+        p.write_bytes(text.encode())
+        expected.append((p, _outcome(_read_series_generator, p)))
+    monkeypatch.setattr("glstat.cli.csv", None)
+    for (p, want), text in zip(expected, plain):
+        assert _outcome(read_series, p) == want, text
+    monkeypatch.undo()
+    # a NUL byte goes through csv, which rejects it on some Pythons
+    p = tmp_path / "nul.csv"
+    p.write_bytes(b"x\n1.5\x002\n3\n")
+    assert _outcome(read_series, p) == _outcome(_read_series_generator, p)
+
+
 def test_estimate_gini(three_csv, capsys):
     assert run_cli(["estimate", "--estimator", "gini",
                     "--input", three_csv]) == 0
@@ -517,6 +548,52 @@ def test_experiment_command_rejects_duplicate_labels(tmp_path, capsys):
                         "--out", str(out)]) == 1
         assert err in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_malformed_configs_are_domain_errors(tmp_path, capsys):
+    # each fails when the config is built: exit 1 with one error line,
+    # no traceback and no report
+    cfg = {"process": {"kind": "iid_gaussian"},
+           "estimators": [{"name": "gini"}], "sample_sizes": [25],
+           "replications": 8}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    for key, value, err in (
+            ("process", {"kind": "garch11"},
+             "process kind 'garch11' needs a garch block of 3 numbers"),
+            ("process", {"kind": "garch11", "garch": [0.1, 0.1]},
+             "process kind 'garch11' needs a garch block of 3 numbers"),
+            ("process", {"kind": "egarch", "rho": 0.8},
+             "process kind 'egarch' needs an egarch block"),
+            ("process", {"kind": "egarch", "egarch": {"alpha0": 0.0}},
+             "egarch block has no 'alpha'"),
+            ("process", {"rho": 0.5}, "process config has no 'kind'"),
+            ("process", "egarch", "process config must be a JSON object"),
+            ("estimators", [{"name": "gini", "sub_sample": 5}],
+             "unknown estimator option 'sub_sample'"),
+            ("estimators", [{"m": 3}], "estimator config has no 'name'")):
+        cfg_path.write_text(json.dumps(dict(cfg, **{key: value})))
+        assert run_cli(["experiment", "--config", str(cfg_path),
+                        "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {err}")
+        assert not out.exists()
+    cfg_path.write_text(json.dumps(
+        {k: v for k, v in cfg.items() if k != "sample_sizes"}))
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: experiment config has no 'sample_sizes'\n")
+    # an experiment-shaped file is not a process config
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["simulate", "--model", "garch11", "--config",
+                    str(cfg_path), "--n", "5"]) == 1
+    assert capsys.readouterr().err == "error: process config has no 'kind'\n"
+    # while a complete garch11 block simulates
+    cfg_path.write_text(json.dumps({"kind": "garch11",
+                                    "garch": [0.5, 0.1, 0.4]}))
+    assert run_cli(["simulate", "--model", "garch11", "--config",
+                    str(cfg_path), "--n", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
 
 
 def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):

@@ -296,6 +296,12 @@ def test_simulate_path_kinds():
     # an unknown kind fails when the process is built, not simulated
     with pytest.raises(ValueError, match="unknown process kind 'nope'"):
         ProcessConfig(kind="nope")
+    # and so does a kind without the parameters simulate_path reads
+    for bad in ({"kind": "garch11"}, {"kind": "garch11", "garch": (1, 2)},
+                {"kind": "garch11", "garch": (0.5, "0.1", 0.4)},
+                {"kind": "egarch", "rho": 0.8}):
+        with pytest.raises(ValueError, match=f"'{bad['kind']}' needs"):
+            ProcessConfig(**bad)
     # n is checked for every kind before anything is drawn
     for process in (ProcessConfig(kind="iid_gaussian"),
                     ProcessConfig(kind="ar1", rho=0.5), garch,

@@ -169,3 +169,79 @@ def test_checked_guess_on_rounded_samples(raw, decimals, outside):
         for conv in ("ceil", "floor_bracket"):
             k = _rank(p, H.size, conv)
             assert H.quantile(p, conv) == oracle.kth(k)
+
+
+def enumerated(x, m):
+    return u_distribution(x, ENUM[m]).sorted_values
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("shape", ["tied", "offset"])
+def test_every_rank_equals_enumeration(m, shape):
+    # a fresh instance per rank: the selection from the full bracket
+    rng = np.random.default_rng(m)
+    for n in range(m, 15):
+        x = rng.standard_normal(n)
+        x = np.round(2.0 * x) / 2.0 if shape == "tied" else 1e6 + x
+        want = enumerated(x, m)
+        got = [MinPairwiseCounts(x, m)._select(k)
+               for k in range(1, want.size + 1)]
+        assert got == want.tolist(), (n, x)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_one_instance_answers_every_rank_in_any_order(order, m):
+    # later ranks start from the brackets the counts of earlier ones left
+    rng = np.random.default_rng(10 + m)
+    for x in (np.round(3.0 * rng.standard_normal(14)) / 3.0,
+              1e6 + rng.standard_normal(14)):
+        want = enumerated(x, m)
+        ks = np.arange(1, want.size + 1)
+        if order == "descending":
+            ks = ks[::-1]
+        elif order == "shuffled":
+            ks = rng.permutation(ks)
+        H = MinPairwiseCounts(x, m)
+        for k in ks.tolist():
+            assert H._select(k) == want[k - 1], (k, x)
+        # the remembered counts are the enumerated ones
+        for t, c in H._counts.items():
+            assert c == np.searchsorted(want, t, side="right"), t
+
+
+def test_zero_is_returned_as_positive_zero():
+    # 0.0 - (-0.0) is 0.0 but -0.0 - 0.0 is -0.0: which sign of zero a
+    # search meets depends on its path, so the answer is normalized
+    x = np.array([0.0, 1.0, 0.0, 1.0, -1.5, 2.5, -0.0, -1.5, 2.5, -1.5,
+                  0.0])
+    for m in (2, 3):
+        H = MinPairwiseCounts(x, m)
+        zeros = int(np.sum(enumerated(x, m) == 0.0))
+        for k in range(zeros, 0, -1):
+            assert str(H._select(k)) == "0.0"
+            assert str(MinPairwiseCounts(x, m)._select(k)) == "0.0"
+
+
+def test_q_interval_ranks_take_few_count_passes():
+    # the three ranks of a Q interval at n = 900: the estimate's
+    # floor-bracket median and the ceil quartiles of the density's IQR;
+    # weighted-median pivots and a bisected last phase took 56 counts
+    x = np.random.default_rng(900).standard_normal(900)
+    H = MinPairwiseCounts(x, 3)
+    count_le, thresholds = H.count_le, []
+
+    def counted(t):
+        thresholds.append(t)
+        return count_le(t)
+
+    H.count_le = counted
+    spec = q_gl_spec(3, 0.5)
+    (_, p), = spec.discrete
+    H.quantile(p, spec.quantile_convention)
+    H.quantile(0.75)
+    H.quantile(0.25)
+    assert len(thresholds) <= 40
+    assert len(set(thresholds)) == len(thresholds)
+    assert H.quantile(0.5, "floor_bracket") == Triples(x).kth(
+        _rank(0.5, H.size, "floor_bracket"))
