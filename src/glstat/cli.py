@@ -57,8 +57,11 @@ def read_series(path) -> np.ndarray:
                 for row in csv.reader(io.StringIO(text)))
     else:
         rows = text.split("\n")
-    cells = [cell for i, row in enumerate(rows)
-             if (cell := row.strip()) and (i or cell.lower() != "x")]
+    try:
+        cells = [cell for i, row in enumerate(rows)
+                 if (cell := row.strip()) and (i or cell.lower() != "x")]
+    except csv.Error as exc:  # a cell past the field limit; NUL on 3.10
+        raise GlstatError(f"cannot read {path}: {exc}") from None
     if not cells:
         raise GlstatError(f"no data in {path}")
     # numpy casts each str with float(): the same doubles and errors

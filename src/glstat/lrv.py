@@ -17,7 +17,7 @@ Because H_n is a step function, the integral term is a finite sum over
 sorted kernel values and is computed exactly (no quadrature).  For a
 linear spec (J == c, no discrete part) A(v) = c (v - U_n), so Ahat_1
 needs only U_n and the kernel's own inner sums, and H_n is never built.
-For J == 0 with the built-in min-pairwise kernel (Q), A depends on h
+For J == 0 with a built-in min-pairwise or Gini kernel, A depends on h
 only through 1[h <= xi_hat], so Ahat_1 comes from counts of H_n
 (MinPairwiseCounts) and no kernel value is enumerated.
 """
@@ -153,7 +153,7 @@ def density_at_uquantile(sample, kernel: KernelSpec, p: float,
 
     xi_p is taken in the given quantile ``convention`` (that of the
     estimate); the IQR always uses the ceil convention.  H_n is
-    ``kvs`` or else ``u_distribution`` (counted for min-pairwise).
+    ``kvs`` or else ``u_distribution`` (counted for min-pairwise, Gini).
     """
     cfg = cfg or LrvConfig()
     if not 0.0 < p < 1.0:
@@ -229,7 +229,7 @@ def build_plugin(sample, spec: GLSpec,
 
     A linear spec (``spec.linear_constant``) needs only U_n, not H_n.
     A spec with J == 0 needs only quantiles and H_n(t)
-    (``u_distribution``: counted for the built-in min-pairwise kernel);
+    (``u_distribution``: counted for the min-pairwise and Gini kernels);
     other specs need the sorted kernel values.
     """
     cfg = cfg or LrvConfig()
@@ -432,14 +432,19 @@ def normal_quantile(p):
 
 def gl_confidence_interval(sample, spec: GLSpec,
                            cfg: Optional[LrvConfig] = None,
-                           level: float = 0.95) -> Tuple[float, float]:
+                           level: float = 0.95,
+                           plugin: Optional[PluginContext] = None
+                           ) -> Tuple[float, float]:
     """CLT interval T(H_n) +/- z_{(1+level)/2} * m * sigma_hat_GL / sqrt(n);
-    ``gini_gl_spec()`` runs in O(n log n) at any n."""
+    ``gini_gl_spec()`` runs in O(n log n) at any n.  ``plugin`` defaults
+    to ``build_plugin(sample, spec, cfg)``; a caller that already read
+    ``plugin.estimate`` passes it so that H_n is built once."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
-    plugin = build_plugin(x, spec, cfg)
+    if plugin is None:
+        plugin = build_plugin(x, spec, cfg)
     t = plugin.estimate
     report = lrv_gl(x, spec, cfg, plugin=plugin)
     z = float(normal_quantile(0.5 * (1.0 + level)))

@@ -29,6 +29,7 @@ from .gl import (estimator_c, estimator_gini,  # noqa: F401
 from .lrv import (
     BandwidthPolicy,
     LrvConfig,
+    build_plugin,
     gl_confidence_interval,
     normal_quantile,
 )
@@ -577,10 +578,19 @@ def _run_cell(config: ExperimentConfig, est: EstimatorConfig, n: int,
     for rep in range(r):
         rng = _cell_rng(config.seed, est.label, n, rep)
         path = simulate_path(config.process, n, rng)
-        estimates[rep] = apply_estimator(est, path, rng)
-        if spec is not None:
-            intervals.append(gl_confidence_interval(
-                path, spec, config.lrv, level=config.ci_level))
+        if spec is None:
+            estimates[rep] = apply_estimator(est, path, rng)
+            continue
+        # the interval's own T(H_n) is the estimate (== the catalog
+        # estimator's), so H_n is built once per replication
+        try:
+            plugin = build_plugin(path, spec, config.lrv)
+        except (GlstatError, ValueError):
+            apply_estimator(est, path, rng)  # its own error text first
+            raise
+        estimates[rep] = plugin.estimate
+        intervals.append(gl_confidence_interval(
+            path, spec, config.lrv, level=config.ci_level, plugin=plugin))
     cell.estimates = estimates
     sd = estimates.std(ddof=1)
     if sd == 0.0:

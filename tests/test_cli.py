@@ -646,6 +646,22 @@ def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):
         assert f"gini n=25: ValueError: {err}" in capsys.readouterr().out
 
 
+def test_csv_errors_are_domain_errors(tmp_path, capsys):
+    # a quoted cell past csv's field limit (131072 characters) and a NUL
+    # byte (csv rejects it on Python 3.10, float() after) exit through
+    # error: instead of a csv traceback
+    big = tmp_path / "big.csv"
+    big.write_text('x\n"' + "1" * 140_000 + '"\n')
+    nul = tmp_path / "nul.csv"
+    nul.write_text('x\n"1"\n2\x003\n')
+    for path in (big, nul):
+        assert run_cli(["estimate", "--estimator", "gini",
+                        "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+    with pytest.raises(GlstatError, match="field larger than field limit"):
+        read_series(big)
+
+
 def test_exit_code_2_on_usage_error(three_csv):
     with pytest.raises(SystemExit) as exc:
         run_cli(["estimate", "--estimator", "bogus", "--input", three_csv])

@@ -14,6 +14,7 @@ evaluation is made to fail: none of them may enumerate.
 """
 
 from contextlib import contextmanager
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,7 @@ from glstat import (
     lrv_ustat,
     u_statistic,
 )
+from glstat.kernels import GINI_ABS_DIFF
 from glstat.ustat import tail_sums
 
 NORMS = ("combinatorial", "paper_literal")
@@ -136,6 +138,50 @@ def test_closed_forms_match_enumeration(raw, case, shape, at, seed):
             close_centred(g1_hat_all(x[perm], fast, normalization=norm),
                           g1_hat_all(x, fast, normalization=norm)[perm],
                           floor)
+
+
+def unsorted_search_tails(x, kernel, pts):
+    """tail_sums of |x - y| (m = 2) or of the range kernel, with one
+    searchsorted over the points in their given order."""
+    xs = np.sort(x)
+    n, m = xs.size, kernel.m
+    ys, a = xs - xs[n // 2], pts - xs[n // 2]
+    k = np.searchsorted(ys, a, side="right")
+    if kernel.name != "range":
+        pre = np.concatenate(([0.0], np.cumsum(ys)))
+        return a * (2 * k - n) + pre[n] - 2.0 * pre[k]
+    c1 = np.array([comb(i, m - 1) for i in range(n + 1)], dtype=float)
+    c2 = np.array([comb(i, m - 2) for i in range(n + 1)], dtype=float)
+    top = np.append(np.cumsum((ys * c2[:n])[::-1])[::-1], 0.0)
+    bottom = np.concatenate(([0.0], np.cumsum(ys * c2[n - 1::-1])))
+    return a * (c1[k] - c1[n - k]) + top[k] - bottom[k]
+
+
+@pytest.mark.parametrize("kernel", [
+    GINI_ABS_DIFF, builtin_kernel("min_pairwise", {"m": 2}),
+    builtin_kernel("range", {"m": 2}), builtin_kernel("range", {"m": 3})],
+    ids=lambda k: f"{k.name}{k.m}")
+def test_tail_sums_are_bit_identical_to_unsorted_search(kernel):
+    # ranking the points in sorted order gives every point the count
+    # that a search in the given order gives it: same bits, ties and
+    # signed zeros included
+    rng = np.random.default_rng(5)
+    samples = [
+        np.round(rng.standard_normal(60) * 3.0),  # tied
+        np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.0, 1.5]),
+        np.array([0.75, -1.25]),
+        1e6 + rng.standard_normal(200),  # ties appear once centred
+        rng.standard_normal(2500),
+    ]
+    for x in samples:
+        lo, hi = float(x.min()), float(x.max())
+        at = np.concatenate((x[::-3], x[:5], [hi + 7.0, lo - 7.0, hi, lo],
+                             rng.uniform(lo - 1.0, hi + 1.0, 40),
+                             [0.0, -0.0, 0.0]))
+        for pts in (x, at):
+            got = tail_sums(x, kernel, None, pts)
+            want = unsorted_search_tails(x, kernel, pts)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_range_is_one_shared_kernel_per_m():

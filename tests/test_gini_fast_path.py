@@ -12,6 +12,8 @@ max|x|, not 0), so every absolute tolerance below has a floor of 1e-12
 max|x| (its square for sigma^2).
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,12 +23,16 @@ from glstat import (
     LrvConfig,
     WeightFunctionJ,
     a1_hat_all,
+    MinPairwiseCounts,
     custom_kernel,
+    empirical_u_cdf,
     g1_hat_all,
     gini_gl_spec,
     gl_confidence_interval,
     gl_statistic,
     lrv_gl,
+    u_distribution,
+    u_quantile,
     u_statistic,
 )
 from glstat.kernels import GINI_ABS_DIFF
@@ -90,3 +96,33 @@ def test_gini_closed_forms_match_enumeration(raw, shape, c, seed):
         close_centred(g1_hat_all(x[perm], GINI_ABS_DIFF, normalization=norm),
                       g1_hat_all(x, GINI_ABS_DIFF, normalization=norm)[perm],
                       floor)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(raw=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=24),
+       tied=st.booleans(), p=st.floats(0.01, 0.99),
+       conv=st.sampled_from(["ceil", "floor_bracket"]))
+@example(raw=[0.0, -0.0, 1.5, 1.5, -0.0], tied=False, p=0.3, conv="ceil")
+@example(raw=[3.0, 3.0], tied=False, p=0.5, conv="floor_bracket")
+def test_gini_kernel_h_n_is_counted(raw, tied, p, conv):
+    # |a - b| and the min-pairwise gap b - a (a < b) are the same double,
+    # so H_n of the Gini kernel is counted, and every H_n(t), U-quantile
+    # and quantile-type GL-statistic is the enumerated one
+    x = np.array(raw)
+    if tied:
+        x = np.round(x / 10.0)
+    fast = GLSpec(kernel=GINI_ABS_DIFF, discrete=((1.5, p), (-0.5, 0.9)),
+                  quantile_convention=conv)
+    slow = GLSpec(kernel=ENUM_ABS_DIFF, discrete=fast.discrete,
+                  quantile_convention=conv)
+    values = np.abs(x[:, None] - x[None, :]).ravel()
+    ts = np.concatenate((values, values + 0.25, [-1.0]))
+    want_cdf = [empirical_u_cdf(x, ENUM_ABS_DIFF, t) for t in ts]
+    want_q = u_quantile(x, ENUM_ABS_DIFF, p, conv)
+    want_gl = gl_statistic(x, slow)
+    with mock.patch("glstat.ustat.eval_kernel_rows",
+                    side_effect=AssertionError("kernel enumerated")):
+        assert isinstance(u_distribution(x, GINI_ABS_DIFF), MinPairwiseCounts)
+        assert [empirical_u_cdf(x, GINI_ABS_DIFF, t) for t in ts] == want_cdf
+        assert u_quantile(x, GINI_ABS_DIFF, p, conv) == want_q
+        assert gl_statistic(x, fast) == want_gl

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import glstat.lrv
 import glstat.ustat
 from glstat import (
     BandwidthPolicy,
@@ -230,6 +233,21 @@ def test_confidence_interval_basic_properties():
         assert lo99 < lo and hi99 > hi
         with pytest.raises(ValueError):
             gl_confidence_interval(x, spec, level=1.0)
+
+
+def test_confidence_interval_reuses_a_given_plugin():
+    rng = np.random.default_rng(83)
+    x = rng.standard_normal(400)
+    cfg = LrvConfig(bandwidth=BandwidthPolicy.fixed(5.0),
+                    density_halfwidth_c=0.8)
+    for spec in (gini_gl_spec(), q_gl_spec(m=3)):
+        plugin = build_plugin(x, spec, cfg)
+        want = gl_confidence_interval(x, spec, cfg, level=0.9)
+        with mock.patch.object(glstat.lrv, "build_plugin",
+                               side_effect=AssertionError("rebuilt")):
+            got = gl_confidence_interval(x, spec, cfg, level=0.9,
+                                         plugin=plugin)
+        assert type(got) is tuple and got == want
 
 
 def test_normal_critical_value():

@@ -4,11 +4,13 @@ import os
 import threading
 import warnings
 from math import floor
+from unittest import mock
 
 import numpy as np
 import pytest
 from min_pairwise_oracle import Triples
 
+import glstat.lrv
 from glstat import (
     BandwidthPolicy,
     EstimatorConfig,
@@ -27,6 +29,7 @@ from glstat import (
 )
 from glstat import mc
 from glstat.errors import DegenerateVarianceError, InsufficientDataError
+from glstat.gl import point_estimate
 from glstat.mc import (
     _Q_CHUNK_ROWS,
     apply_estimator,
@@ -445,6 +448,44 @@ def test_coverage_computed_with_lrv(tmp_path, name):
     write_report(report, tmp_path / "out")
     written = json.loads((tmp_path / "out" / "config.json").read_text())
     assert written["lrv"]["weight"] == "bartlett"
+
+
+def test_interval_cells_take_the_estimate_from_the_plugin():
+    # one H_n per replication: the estimate is the interval's own
+    # plug-in T(H_n), == the catalog estimator's on every path
+    cfg = small_config(
+        process=egarch_scenario(1),
+        estimators=(EstimatorConfig(name="gini"),
+                    EstimatorConfig(name="gini_os"),
+                    EstimatorConfig(name="q", m=3)),
+        sample_sizes=(50, 400), replications=5, lrv=LrvConfig())
+    with mock.patch.object(mc, "build_plugin",
+                           wraps=mc.build_plugin) as built, \
+            mock.patch.object(mc, "point_estimate",
+                              wraps=mc.point_estimate) as estimated, \
+            mock.patch.object(glstat.lrv, "build_plugin",
+                              side_effect=AssertionError("rebuilt")):
+        report = run_experiment(cfg)
+    assert built.call_count == 3 * 2 * 5 and estimated.call_count == 0
+    for est in cfg.estimators:
+        for n in cfg.sample_sizes:
+            cell = report.cells[(est.label, n)]
+            assert cell.error is None and cell.coverage is not None
+            for rep in range(5):
+                rng = mc._cell_rng(cfg.seed, est.label, n, rep)
+                path = simulate_path(cfg.process, n, rng)
+                assert cell.estimates[rep] == point_estimate(est.name, path,
+                                                             est)
+    # a sample too short for the estimator still fails with the
+    # estimator's own error text
+    short = run_experiment(small_config(
+        estimators=(EstimatorConfig(name="q", m=3),
+                    EstimatorConfig(name="gini")),
+        sample_sizes=(1, 2), replications=4, lrv=LrvConfig()))
+    assert short.cells[("q", 2)].error == (
+        "InsufficientDataError: need at least m=3 observations, got n=2")
+    assert short.cells[("gini", 1)].error == (
+        "InsufficientDataError: Gini's mean difference needs n >= 2")
 
 
 def test_degenerate_cell_is_recorded_not_raised():
