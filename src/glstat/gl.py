@@ -144,8 +144,8 @@ def gl_statistic(sample, spec: GLSpec,
 
     A linear spec is c * u_statistic, without H_n.  A spec with J == 0
     needs only the quantiles of H_n (``u_distribution``: counted for the
-    built-in min-pairwise and Gini kernels).  ``kvs`` may be supplied to reuse an
-    already-built H_n.
+    built-in min-pairwise and Gini kernels).  ``kvs`` may be supplied to
+    reuse an already-built H_n.
     """
     x = as_sample(sample)
     c = spec.linear_constant
