@@ -17,14 +17,12 @@ from .errors import (
 from .gl import (
     GLSpec,
     WeightFunctionJ,
-    c_gl_spec,
     estimator_c,
     estimator_gini,
     estimator_lms,
     estimator_q,
     gini_gl_spec,
     gl_statistic,
-    j_integral,
     lms_constant,
     q_gl_spec,
 )
@@ -62,7 +60,6 @@ from .processes import (
     EgarchParams,
     InnovationModel,
     SimConfig,
-    check_egarch_conditions,
     make_rng,
     simulate_egarch,
     simulate_garch11,
@@ -72,8 +69,6 @@ from .ustat import (
     KernelValueSet,
     MinPairwiseCounts,
     PopulationHoeffding,
-    empirical_cdf,
-    empirical_u_cdf,
     g1_hat_all,
     hoeffding_decompose_population,
     kernel_values,

@@ -10,7 +10,7 @@ with v_(1) <= ... <= v_(N) the sorted kernel values, N = C(n, m).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, floor
+from math import floor
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,32 +41,12 @@ class WeightFunctionJ:
     pieces: Tuple[Piece, ...] = ()
 
     @staticmethod
-    def zero() -> "WeightFunctionJ":
-        return WeightFunctionJ()
-
-    @staticmethod
-    def constant(c: float = 1.0,
-                 support: Tuple[float, float] = (0.0, 1.0)) -> "WeightFunctionJ":
-        lo, hi = support
-        return WeightFunctionJ(pieces=((lo, hi, (c,)),))
-
-    @staticmethod
-    def linear(slope: float, intercept: float,
-               support: Tuple[float, float] = (0.0, 1.0)) -> "WeightFunctionJ":
-        lo, hi = support
-        return WeightFunctionJ(pieces=((lo, hi, (intercept, slope)),))
+    def constant(c: float) -> "WeightFunctionJ":
+        return WeightFunctionJ(pieces=((0.0, 1.0, (c,)),))
 
     @staticmethod
     def piecewise(pieces: Sequence[Piece]) -> "WeightFunctionJ":
         return WeightFunctionJ(pieces=tuple(pieces))
-
-    @staticmethod
-    def gini_order_statistic(n: int) -> "WeightFunctionJ":
-        """The n-dependent J pairing the identity kernel with Gini's
-        order-statistic form: J(t) = (4n/(n-1)) t - 2n/(n-1)."""
-        if n < 2:
-            raise InsufficientDataError("Gini J requires n >= 2")
-        return WeightFunctionJ.linear(4.0 * n / (n - 1), -2.0 * n / (n - 1))
 
     @property
     def is_zero(self) -> bool:
@@ -107,14 +87,6 @@ class WeightFunctionJ:
         return out
 
 
-def j_integral(J: WeightFunctionJ, lo: float, hi: float) -> float:
-    """Exact integral of J over [lo, hi] in [0, 1]."""
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise ValueError(f"integration bounds [{lo}, {hi}] outside [0, 1]")
-    pre = J.integral_prefix(np.array([lo, hi]))
-    return float(pre[1] - pre[0])
-
-
 @dataclass(frozen=True)
 class GLSpec:
     """Full GL parameterization: kernel h, weight J, discrete part
@@ -122,7 +94,7 @@ class GLSpec:
     discrete part."""
 
     kernel: KernelSpec
-    weight: WeightFunctionJ = field(default_factory=WeightFunctionJ.zero)
+    weight: WeightFunctionJ = field(default_factory=WeightFunctionJ)
     discrete: Tuple[Tuple[float, float], ...] = ()
     quantile_convention: str = "ceil"
 
@@ -244,20 +216,6 @@ def q_gl_spec(m: int = 3, alpha: float = 0.5) -> GLSpec:
     convention (exactly the printed [alpha C(n, m)] order statistic)."""
     return GLSpec(kernel=builtin_kernel("min_pairwise", {"m": m}),
                   discrete=((1.0, alpha),),
-                  quantile_convention="floor_bracket")
-
-
-def c_gl_spec(n: int, alpha: float, c_alpha: float = 1.0) -> GLSpec:
-    """GL form of C_n^alpha: range kernel of dimension [alpha n] + 2,
-    J == 0, d = 1, a_1 = c_alpha, p_1 = 1 / C(n, m).
-
-    Agrees with estimator_c only when the displayed order-statistic
-    index [n/2] - [alpha n] equals 1 (the minimum-gap case, e.g. LMS).
-    """
-    m = floor(alpha * n) + 2
-    N = comb(n, m)
-    return GLSpec(kernel=builtin_kernel("range", {"m": m}),
-                  discrete=((c_alpha, 1.0 / N),),
                   quantile_convention="floor_bracket")
 
 

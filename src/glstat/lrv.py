@@ -24,6 +24,7 @@ only through 1[h <= xi_hat], so Ahat_1 comes from counts of H_n
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from math import comb, inf, isfinite, log, nan, sqrt
 from typing import Optional, Tuple
@@ -60,60 +61,65 @@ def default_bandwidth(n: int) -> int:
     return max(1, b)
 
 
+def _check_positive(what: str, v) -> None:
+    """ValueError unless v is a finite real number > 0."""
+    if not (isinstance(v, numbers.Real) and v > 0):
+        raise ValueError(f"{what} must be > 0, got {v}")
+    if not isfinite(v):
+        raise ValueError(f"{what} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class BandwidthPolicy:
-    """Produces the bandwidth b_n: fixed(b), power_law(c, e) -> c * n^e,
-    or auto -> floor(n^(1/3))."""
+    """Produces the bandwidth b_n of kind ``fixed`` (b), ``power_law``
+    (c * n^e, 0 < e < 1/2) or ``auto`` (floor(n^(1/3))), with b or c
+    finite and > 0; checked when built, also from a config dict."""
 
     kind: str = "auto"
     b: float = 0.0
     c: float = 1.0
     e: float = 1.0 / 3.0
 
-    @staticmethod
-    def fixed(b: float) -> "BandwidthPolicy":
-        if b <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {b}")
-        return BandwidthPolicy(kind="fixed", b=float(b))
+    def __post_init__(self):
+        if self.kind == "fixed":
+            _check_positive("bandwidth", self.b)
+        elif self.kind == "power_law":
+            if not (isinstance(self.e, numbers.Real) and 0 < self.e < 0.5):
+                raise ValueError("power law needs c > 0 and 0 < e < 1/2")
+            _check_positive("bandwidth", self.c)
+        elif self.kind != "auto":
+            raise ValueError(f"unknown bandwidth policy {self.kind!r}")
 
     @staticmethod
-    def power_law(c: float, e: float = 1.0 / 3.0) -> "BandwidthPolicy":
-        if c <= 0 or not 0 < e < 0.5:
-            raise ValueError("power law needs c > 0 and 0 < e < 1/2")
-        return BandwidthPolicy(kind="power_law", c=c, e=e)
+    def fixed(b: float) -> "BandwidthPolicy":
+        return BandwidthPolicy(kind="fixed", b=float(b))
 
     @staticmethod
     def auto() -> "BandwidthPolicy":
         return BandwidthPolicy(kind="auto")
 
     def resolve(self, n: int) -> float:
-        """b_n for sample size n; a policy built from a config dict skips
-        the constructors' checks, so their rules are checked here: a
-        power law's exponent in (0, 1/2), and b_n > 0 and finite."""
-        if self.kind == "fixed":
-            b = self.b
-        elif self.kind == "power_law":
-            if not 0 < self.e < 0.5:
-                raise ValueError("power law needs c > 0 and 0 < e < 1/2")
-            b = self.c * n ** self.e
-        elif self.kind == "auto":
-            b = float(default_bandwidth(n))
-        else:
-            raise ValueError(f"unknown bandwidth policy {self.kind!r}")
-        if not b > 0:
-            raise ValueError(f"bandwidth must be > 0, got {b}")
-        if not isfinite(b):
+        """b_n for sample size n."""
+        if self.kind == "auto":
+            return float(default_bandwidth(n))
+        b = self.b if self.kind == "fixed" else self.c * n ** self.e
+        if not isfinite(b):  # c * n^e can overflow
             raise ValueError(f"bandwidth must be finite, got {b}")
         return b
 
 
 @dataclass(frozen=True)
 class LrvConfig:
-    """Configuration for long-run variance estimation."""
+    """Configuration for long-run variance estimation, checked when built."""
 
     bandwidth: BandwidthPolicy = field(default_factory=BandwidthPolicy.auto)
     density_halfwidth_c: float = 0.5
     normalization: str = "combinatorial"
+
+    def __post_init__(self):
+        if self.normalization not in ("combinatorial", "paper_literal"):
+            raise ValueError(f"unknown normalization {self.normalization!r}")
+        _check_positive("density half-width c", self.density_halfwidth_c)
 
 
 def _weighted_autocov(g: np.ndarray, b: float) -> float:
@@ -278,7 +284,7 @@ def a1_hat_all(sample, spec: GLSpec,
                at=None) -> np.ndarray:
     """Ahat_1, the empirical first Hoeffding projection of A o h, at the
     points ``at`` (default: every sample point), with the normalization
-    modes of glstat.ustat.project.  ``plugin`` defaults to
+    modes of glstat.ustat.g1_hat_all.  ``plugin`` defaults to
     ``build_plugin(sample, spec)``; pass one built with an LrvConfig for
     another density half-width."""
     if plugin is None:

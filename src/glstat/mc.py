@@ -15,7 +15,7 @@ import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, combinations
-from math import ceil, floor, sqrt
+from math import ceil, floor, inf, sqrt
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -51,14 +51,19 @@ _Q_BRACKET_SD = 8  # half-width of q_subsampled's bracket, in binomial sd
 
 # --- configuration ---------------------------------------------------------
 
-def _require_keys(d, what: str, keys: Tuple[str, ...]) -> None:
-    """ValueError unless ``d`` is a dict that holds every one of ``keys``:
-    a malformed config fails as a domain error naming the key."""
+def _require_keys(d, what: str, keys: Tuple[str, ...],
+                  lists: Tuple[str, ...] = ()) -> None:
+    """ValueError unless ``d`` is a dict that holds every one of ``keys``,
+    those among ``lists`` as JSON lists: a malformed config fails as a
+    domain error naming the key."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
     for key in keys:
         if key not in d:
             raise ValueError(f"{what} has no {key!r}")
+        if key in lists and not isinstance(d[key], list):
+            raise ValueError(f"{what}'s {key!r} must be a JSON list, "
+                             f"got {d[key]!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,8 @@ class ProcessConfig:
         eg = d.get("egarch")
         if eg is not None:
             _require_keys(eg, "egarch block",
-                          ("alpha0", "alpha", "beta", "theta", "lam"))
+                          ("alpha0", "alpha", "beta", "theta", "lam"),
+                          lists=("alpha", "beta"))
             # an absent mean_abs_z takes the dataclass default
             extra = ({"mean_abs_z": eg["mean_abs_z"]} if "mean_abs_z" in eg
                      else {})
@@ -192,11 +198,13 @@ def _lrv_to_dict(cfg: LrvConfig) -> dict:
 
 
 def _lrv_from_dict(d: dict) -> LrvConfig:
+    _require_keys(d, "lrv block", ("weight",))
     if d["weight"] != "bartlett":
         raise ValueError(
             f"the lag window is bartlett only, got {d['weight']!r}"
         )
     bw = d.get("bandwidth", {"kind": "auto"})
+    _require_keys(bw, "bandwidth block", ())
     return LrvConfig(
         bandwidth=BandwidthPolicy(kind=bw.get("kind", "auto"),
                                   b=bw.get("b", 0.0), c=bw.get("c", 1.0),
@@ -233,7 +241,8 @@ class ExperimentConfig:
         for n in self.sample_sizes:
             if n < 1:
                 raise ValueError(f"sample sizes must be >= 1, got {n}")
-        if not 0.0 < self.ci_level < 1.0:
+        if not (isinstance(self.ci_level, numbers.Real)
+                and 0.0 < self.ci_level < 1.0):
             raise ValueError(f"ci_level must be in (0, 1), "
                              f"got {self.ci_level!r}")
         # labels key the cells, the report file names and the RNG streams
@@ -258,7 +267,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         _require_keys(d, "experiment config",
-                      ("process", "estimators", "sample_sizes"))
+                      ("process", "estimators", "sample_sizes"),
+                      lists=("estimators", "sample_sizes"))
         return ExperimentConfig(
             process=ProcessConfig.from_dict(d["process"]),
             estimators=tuple(EstimatorConfig.from_dict(e)
@@ -267,7 +277,7 @@ class ExperimentConfig:
             replications=d.get("replications", DEFAULT_REPLICATIONS),
             seed=d.get("seed", 0),
             lrv=_lrv_from_dict(d["lrv"]) if "lrv" in d else None,
-            ci_level=float(d.get("ci_level", 0.95)),
+            ci_level=d.get("ci_level", 0.95),
         )
 
     def to_json(self) -> str:
@@ -376,23 +386,26 @@ def _q_rank(alpha: float, n_subsets: int, repeated: int) -> int:
 
 
 def _q_in_bracket(x: np.ndarray, m: int, alpha: float, n_subsets: int,
-                  rng: np.random.Generator) -> Optional[float]:
+                  rng: np.random.Generator, sd: float) -> Optional[float]:
     """q_subsampled's value from the gaps inside a bracket that the
     first chunk fixes, or None when the selected rank falls outside it.
 
-    The bracket is the first chunk's order statistics at p +- _Q_BRACKET_SD
+    The bracket is the first chunk's order statistics at p +- ``sd``
     binomial sd, p the rank fraction that alpha and the chunk's repeated
-    count give.  Each chunk adds to the count of gaps below the bracket
-    and keeps the gaps inside it, so only those are partitioned.
+    count give; with ``sd`` infinite it is unbounded and keeps every gap.
+    Each chunk adds to the count of gaps below the bracket and keeps the
+    gaps inside it, so only those are partitioned.
     """
     chunks = _gap_chunks(x, m, n_subsets, rng)
     first, first_repeated = next(chunks)
-    r = first.size
-    p = (first_repeated + alpha * (r - first_repeated)) / r
-    half = _Q_BRACKET_SD * sqrt(r * p * (1.0 - p))
-    ranks = [min(max(int(r * p - half), 0), r - 1),
-             min(ceil(r * p + half), r - 1)]
-    lo, hi = np.partition(first, ranks)[ranks]
+    lo, hi = -inf, inf
+    if sd < inf:
+        r = first.size
+        p = (first_repeated + alpha * (r - first_repeated)) / r
+        half = sd * sqrt(r * p * (1.0 - p))
+        ranks = [min(max(int(r * p - half), 0), r - 1),
+                 min(ceil(r * p + half), r - 1)]
+        lo, hi = np.partition(first, ranks)[ranks]
     below = repeated = 0
     kept = []
     for gaps, rep in chain([(first, first_repeated)], chunks):
@@ -426,11 +439,11 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
     A repeated row's kernel value is exactly 0 on finite input, the
     smallest possible value, so the k-th smallest distinct value is the
     (#repeated + k)-th smallest of all rows and no row is ever removed.
-    With 4 chunks or more only the gaps inside a bracket fixed by the
-    first chunk are kept (a few percent of the rows at alpha = 0.5).
-    If the selected gap falls outside it, the generator state saved
-    before the first draw is restored and the stream replayed into an
-    array of all n_subsets gaps, the path that fewer chunks take.
+    Only the gaps inside a bracket fixed by the first chunk are kept (a
+    few percent of the rows at alpha = 0.5).  If the selected gap falls
+    outside it, the generator state saved before the first draw is
+    restored and the stream replayed through the same selection with an
+    unbounded bracket, which keeps all n_subsets gaps.
     """
     x = as_sample(sample)
     if m < 2:
@@ -445,21 +458,12 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
         # every row would repeat an index; fail before touching the stream
         raise DegenerateVarianceError("no distinct index subsets drawn")
     n_subsets = int(n_subsets)
-    if n_subsets > 3 * _Q_CHUNK_ROWS:
-        state = rng.bit_generator.state
-        value = _q_in_bracket(x, m, alpha, n_subsets, rng)
-        if value is not None:
-            return value
+    state = rng.bit_generator.state
+    value = _q_in_bracket(x, m, alpha, n_subsets, rng, _Q_BRACKET_SD)
+    if value is None:
         rng.bit_generator.state = state
-    vals = np.empty(n_subsets)
-    start = repeated = 0
-    for gaps, rep in _gap_chunks(x, m, n_subsets, rng):
-        vals[start:start + gaps.size] = gaps
-        start += gaps.size
-        repeated += rep
-    j = _q_rank(alpha, n_subsets, repeated)
-    vals.partition(j)
-    return float(vals[j])
+        value = _q_in_bracket(x, m, alpha, n_subsets, rng, inf)
+    return value
 
 
 def apply_estimator(est: EstimatorConfig, sample,
@@ -536,7 +540,6 @@ class CellResult:
     estimator: str
     n: int
     estimates: Optional[np.ndarray] = None
-    standardized: Optional[np.ndarray] = None
     summary: Optional[NormalitySummary] = None
     qq: Optional[np.ndarray] = None
     coverage: Optional[float] = None
@@ -597,7 +600,6 @@ def _run_cell(config: ExperimentConfig, est: EstimatorConfig, n: int,
         raise DegenerateVarianceError(
             "all replications produced the same estimate"
         )
-    cell.standardized = (estimates - estimates.mean()) / sd
     cell.qq = qq_points(estimates)
     cell.summary = normality_summary(estimates)
     if spec is not None:

@@ -41,11 +41,6 @@ class InnovationModel:
         if self.kind == "ar1" and not abs(self.rho) < 1.0:
             raise StationarityError(f"AR(1) requires |rho| < 1, got {self.rho}")
 
-    @property
-    def mean_abs(self) -> float:
-        # both kinds have a standard-normal marginal
-        return GAUSSIAN_MEAN_ABS
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -62,13 +57,12 @@ class SimConfig:
 
 
 def simulate_innovations(model: InnovationModel, n_total: int,
-                         rng_or_seed) -> np.ndarray:
-    """Length-``n_total`` innovation stream with unit marginal variance.
+                         rng: np.random.Generator) -> np.ndarray:
+    """Length-``n_total`` innovation stream with unit marginal variance,
+    drawn from ``rng``.
 
     AR(1) starts stationary (Z_1 ~ N(0, 1)).
     """
-    rng = (rng_or_seed if isinstance(rng_or_seed, np.random.Generator)
-           else make_rng(int(rng_or_seed)))
     eps = rng.standard_normal(n_total)
     if model.kind == "iid_gaussian" or model.rho == 0.0:
         return eps
@@ -186,39 +180,3 @@ def simulate_garch11(alpha0: float, alpha1: float, beta1: float,
         x[t] = sqrt(var) * z[t]
         var = alpha0 + alpha1 * x[t] ** 2 + beta1 * var
     return x[sim.burn_in:]
-
-
-@dataclass(frozen=True)
-class EgarchDiagnostics:
-    """Checkable pieces of the NED sufficient conditions."""
-
-    beta_sum: float
-    stationarity_ok: bool
-    stationary_log_variance: float
-    innovations_bounded: bool
-    notes: Tuple[str, ...]
-
-
-def check_egarch_conditions(params: EgarchParams,
-                            model: InnovationModel) -> EgarchDiagnostics:
-    """Diagnostics only; nothing here raises."""
-    notes = []
-    ok = abs(params.beta_sum) < 1.0
-    if not ok:
-        notes.append(
-            f"|sum(beta)| = {abs(params.beta_sum):.6g} >= 1: the "
-            "log-variance recursion has no stationary solution"
-        )
-    bounded = False
-    notes.append(
-        "Gaussian-marginal innovations are unbounded, so sup|Z_t| < inf "
-        "fails strictly; the moment surrogate E|Z_t| <= 1 holds instead"
-    )
-    return EgarchDiagnostics(
-        beta_sum=params.beta_sum,
-        stationarity_ok=ok,
-        stationary_log_variance=(params.stationary_log_variance if ok
-                                 else float("nan")),
-        innovations_bounded=bounded,
-        notes=tuple(notes),
-    )

@@ -67,8 +67,6 @@ class KernelValueSet:
     """
 
     sorted_values: np.ndarray
-    n: int
-    m: int
 
     @property
     def size(self) -> int:
@@ -509,6 +507,23 @@ def _closed_form(kernel: KernelSpec):
     return None
 
 
+def _subsets(x: np.ndarray, k: int) -> np.ndarray:
+    """The C(n, k) k-subsets of x as the rows of a (C(n, k), k) array, in
+    lexicographic index order; k = 0 gives one empty row."""
+    if k == 0:
+        return np.empty((1, 0))
+    if k == 1:
+        return x[:, None]
+    if k == 2:
+        iu, ju = np.triu_indices(x.size, k=1)
+        return np.column_stack((x[iu], x[ju]))
+    N = comb(x.size, k)
+    return np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(x, k)),
+        dtype=float, count=N * k,
+    ).reshape(N, k)
+
+
 def _enumerate(x: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     """The C(n, m) kernel values of a validated sample, unsorted.
 
@@ -522,16 +537,7 @@ def _enumerate(x: np.ndarray, kernel: KernelSpec) -> np.ndarray:
             f"C({n},{m}) = {N} kernel evaluations exceed the cap {ENUM_CAP}; "
             "use subsampling (glstat.mc) or a closed-form fast path"
         )
-    if m == 1:
-        return eval_kernel_rows(kernel, x[:, None])
-    if m == 2:
-        iu, ju = np.triu_indices(n, k=1)
-        return eval_kernel_rows(kernel, np.column_stack((x[iu], x[ju])))
-    rows = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(x, m)),
-        dtype=float, count=N * m,
-    ).reshape(N, m)
-    return eval_kernel_rows(kernel, rows)
+    return eval_kernel_rows(kernel, _subsets(x, m))
 
 
 def kernel_values(sample, kernel: KernelSpec) -> KernelValueSet:
@@ -541,8 +547,7 @@ def kernel_values(sample, kernel: KernelSpec) -> KernelValueSet:
     n use the subsampled mode of the Monte Carlo harness instead.
     """
     x = as_sample(sample)
-    return KernelValueSet(sorted_values=np.sort(_enumerate(x, kernel)),
-                          n=x.size, m=kernel.m)
+    return KernelValueSet(sorted_values=np.sort(_enumerate(x, kernel)))
 
 
 def u_statistic(sample, kernel: KernelSpec) -> float:
@@ -575,21 +580,10 @@ def u_distribution(sample, kernel: KernelSpec) -> UDistribution:
     return kernel_values(x, kernel)
 
 
-def empirical_u_cdf(sample, kernel: KernelSpec, t: float) -> float:
-    """H_n(t), the empirical U-distribution function."""
-    return u_distribution(sample, kernel).cdf(t)
-
-
 def u_quantile(sample, kernel: KernelSpec, p: float,
                convention: str = "ceil") -> float:
     """H_n^{-1}(p); see _rank for the conventions."""
     return u_distribution(sample, kernel).quantile(p, convention)
-
-
-def empirical_cdf(sample, x: float) -> float:
-    """F_n(x) = (1/n) #{i : X_i <= x}."""
-    s = as_sample(sample)
-    return float(np.searchsorted(np.sort(s), x, side="right") / s.size)
 
 
 # --- empirical first Hoeffding projection ---------------------------------
@@ -602,7 +596,7 @@ def _g1_denominators(n: int, m: int, normalization: str) -> Tuple[float, float]:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-# rows (point, tail...) evaluated per chunk of project()
+# rows (point, tail...) evaluated per chunk of tail_sums' enumeration
 _PROJECT_ROWS = 1 << 16
 
 
@@ -616,20 +610,13 @@ def tail_sums(x: np.ndarray, kernel: KernelSpec,
     Without a transform, a kernel with a closed form (see _closed_form)
     takes it; every other kernel enumerates the C(n, m-1) tails.
     """
-    n, m = x.size, kernel.m
+    m = kernel.m
     closed = _closed_form(kernel) if transform is None else None
     if closed is not None:
         return closed[0](np.sort(x), pts)
     f = transform or (lambda v: v)
-    # the C(n, m-1) tails, enumerated once in lexicographic index order;
-    # m = 1 has one empty tail, and combinations() would still copy the
-    # whole sample into a tuple of scalars to find it
-    T = comb(n, m - 1)
-    tails = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations(x if m > 1 else (), m - 1)),
-        dtype=float, count=T * (m - 1),
-    ).reshape(T, m - 1)
+    tails = _subsets(x, m - 1)  # enumerated once
+    T = tails.shape[0]
     step = max(1, _PROJECT_ROWS // T)
     s1 = np.empty(pts.size)
     for lo in range(0, pts.size, step):
@@ -643,10 +630,10 @@ def tail_sums(x: np.ndarray, kernel: KernelSpec,
     return s1
 
 
-def project(sample, kernel: KernelSpec, at=None,
-            normalization: str = "combinatorial") -> np.ndarray:
-    """Empirical first Hoeffding projection of h at the points ``at``
-    (default: every sample point).
+def g1_hat_all(sample, kernel: KernelSpec,
+               normalization: str = "combinatorial", at=None) -> np.ndarray:
+    """ghat_1, the empirical first Hoeffding projection of h, at the
+    points ``at`` (default: every sample point).
 
     g_1(x) = (1/d1) sum over i_1<...<i_{m-1} of h(x, X_{i_1..i_{m-1}})
            - (1/d2) sum over i_1<...<i_m of h(X_{i_1..i_m})
@@ -674,12 +661,6 @@ def project(sample, kernel: KernelSpec, at=None,
         total = comb(n, m) * u_statistic(x, kernel)
         tails = tail_sums(x, kernel, None, pts)
     return tails / d1 - total / d2
-
-
-def g1_hat_all(sample, kernel: KernelSpec,
-               normalization: str = "combinatorial") -> np.ndarray:
-    """ghat_1 evaluated at every sample point; see project."""
-    return project(sample, kernel, normalization=normalization)
 
 
 # --- population Hoeffding decomposition (finite support, oracle) ----------

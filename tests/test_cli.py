@@ -628,22 +628,60 @@ def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):
     assert run_cli(["lrv", "--estimator", "gini", "--input", three_csv,
                     "--bandwidth", "inf"]) == 1
     assert "bandwidth must be finite" in capsys.readouterr().err
-    # a config dict skips the policy constructors; the cells record the error
-    cfg["lrv"] = {"weight": "bartlett", "bandwidth": {"kind": "fixed", "b": -3}}
-    cfg_path.write_text(json.dumps(cfg))
-    assert run_cli(["experiment", "--config", str(cfg_path),
-                    "--out", str(tmp_path / "neg")]) == 0
-    assert ("gini n=25: ValueError: bandwidth must be > 0, got -3"
-            in capsys.readouterr().out)
-    for bw, err in (({"kind": "power_law", "c": 1, "e": 0.9},
+    # a policy from a config dict is checked when the config is built,
+    # before any cell runs
+    for bw, err in (({"kind": "fixed", "b": -3}, "bandwidth must be > 0, got -3"),
+                    ({"kind": "power_law", "c": 1, "e": 0.9},
                      "power law needs c > 0 and 0 < e < 1/2"),
                     ({"kind": "fixed", "b": float("inf")},
                      "bandwidth must be finite, got inf")):
         cfg["lrv"] = {"weight": "bartlett", "bandwidth": bw}
         cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / bw["kind"]
         assert run_cli(["experiment", "--config", str(cfg_path),
-                        "--out", str(tmp_path / bw["kind"])]) == 0
-        assert f"gini n=25: ValueError: {err}" in capsys.readouterr().out
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+
+def _egarch_with(**params):
+    process = egarch_scenario(1).to_dict()
+    process["egarch"].update(params)
+    return process
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lrv", {}),
+    ("lrv", None),
+    ("lrv", {"weight": "bartlett", "bandwidth": 5}),
+    ("lrv", {"weight": "bartlett", "density_halfwidth_c": "x"}),
+    ("estimators", 5),
+    ("sample_sizes", 30),
+    ("ci_level", [1]),
+    ("process", _egarch_with(alpha=0.2)),
+])
+def test_malformed_config_values_are_domain_errors(tmp_path, capsys, key,
+                                                   value):
+    cfg = {"process": {"kind": "iid_gaussian"},
+           "estimators": [{"name": "gini"}], "sample_sizes": [25],
+           "replications": 8, "lrv": {"weight": "bartlett"}, key: value}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_density_halfwidth_is_checked_when_built(three_csv, capsys):
+    # Gini's interval reads no density, but a bad half-width still fails
+    assert run_cli(["ci", "--estimator", "gini", "--input", three_csv,
+                    "--density-c", "-1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: density half-width c must be > 0, got -1.0\n")
+    assert run_cli(["ci", "--estimator", "q", "--input", three_csv,
+                    "--density-c", "0"]) == 1
+    assert "density half-width c must be > 0" in capsys.readouterr().err
 
 
 def test_csv_errors_are_domain_errors(tmp_path, capsys):

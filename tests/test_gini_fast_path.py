@@ -25,7 +25,6 @@ from glstat import (
     a1_hat_all,
     MinPairwiseCounts,
     custom_kernel,
-    empirical_u_cdf,
     g1_hat_all,
     gini_gl_spec,
     gl_confidence_interval,
@@ -117,12 +116,13 @@ def test_gini_kernel_h_n_is_counted(raw, tied, p, conv):
                   quantile_convention=conv)
     values = np.abs(x[:, None] - x[None, :]).ravel()
     ts = np.concatenate((values, values + 0.25, [-1.0]))
-    want_cdf = [empirical_u_cdf(x, ENUM_ABS_DIFF, t) for t in ts]
+    want_cdf = [u_distribution(x, ENUM_ABS_DIFF).cdf(t) for t in ts]
     want_q = u_quantile(x, ENUM_ABS_DIFF, p, conv)
     want_gl = gl_statistic(x, slow)
     with mock.patch("glstat.ustat.eval_kernel_rows",
                     side_effect=AssertionError("kernel enumerated")):
         assert isinstance(u_distribution(x, GINI_ABS_DIFF), MinPairwiseCounts)
-        assert [empirical_u_cdf(x, GINI_ABS_DIFF, t) for t in ts] == want_cdf
+        assert ([u_distribution(x, GINI_ABS_DIFF).cdf(t) for t in ts]
+                == want_cdf)
         assert u_quantile(x, GINI_ABS_DIFF, p, conv) == want_q
         assert gl_statistic(x, fast) == want_gl

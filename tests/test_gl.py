@@ -1,4 +1,4 @@
-from math import floor, sqrt
+from math import comb, floor, sqrt
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from glstat import (
     InsufficientDataError,
     WeightFunctionJ,
     builtin_kernel,
-    c_gl_spec,
     custom_kernel,
     estimator_c,
     estimator_gini,
@@ -18,7 +17,6 @@ from glstat import (
     gini_gl_spec,
     gl_confidence_interval,
     gl_statistic,
-    j_integral,
     lms_constant,
     q_gl_spec,
     u_statistic,
@@ -30,22 +28,19 @@ ENUM_ABS_DIFF = custom_kernel("abs_diff", 2, lambda a: abs(a[0] - a[1]),
                               eval_rows=lambda r: np.abs(r[:, 0] - r[:, 1]))
 
 
+def j_integral(J, lo, hi):
+    """Integral of J over [lo, hi] from its prefix integrals."""
+    pre = J.integral_prefix(np.array([lo, hi]))
+    return float(pre[1] - pre[0])
+
+
 def test_weight_constructors_and_integrals():
     assert j_integral(WeightFunctionJ.constant(1.0), 0.0, 1.0) == pytest.approx(1.0)
     assert j_integral(WeightFunctionJ.constant(3.0), 0.25, 0.75) == pytest.approx(1.5)
-    lin = WeightFunctionJ.linear(2.0, 0.0)
+    lin = WeightFunctionJ.piecewise([(0.0, 1.0, (0.0, 2.0))])  # J(t) = 2t
     assert j_integral(lin, 0.0, 1.0) == pytest.approx(1.0)
     assert lin(0.5) == pytest.approx(1.0)
-    assert j_integral(WeightFunctionJ.zero(), 0.0, 1.0) == 0.0
-
-
-def test_gini_order_statistic_weight_integrates_to_zero_mean_shift():
-    # J_n(t) = (4n/(n-1)) t - 2n/(n-1): integrates to 0 over [0, 1],
-    # so location shifts cancel in the weighted sum of order statistics
-    for n in (5, 10, 101):
-        J = WeightFunctionJ.gini_order_statistic(n)
-        assert j_integral(J, 0.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-        assert J(1.0) == pytest.approx(2.0 * n / (n - 1))
+    assert j_integral(WeightFunctionJ(), 0.0, 1.0) == 0.0
 
 
 def test_piecewise_weight():
@@ -96,7 +91,13 @@ def test_gl_c_spec_matches_estimator_c_when_index_is_one():
     for n, alpha in ((6, 1.0 / 3.0), (8, 0.375)):
         assert floor(n / 2) - floor(alpha * n) == 1
         x = rng.standard_normal(n)
-        assert gl_statistic(x, c_gl_spec(n, alpha)) == pytest.approx(
+        # range kernel of dimension [alpha n] + 2, J == 0, d = 1, a_1 = 1,
+        # p_1 = 1 / C(n, m): the smallest kernel value
+        m = floor(alpha * n) + 2
+        spec = GLSpec(kernel=builtin_kernel("range", {"m": m}),
+                      discrete=((1.0, 1.0 / comb(n, m)),),
+                      quantile_convention="floor_bracket")
+        assert gl_statistic(x, spec) == pytest.approx(
             estimator_c(x, alpha), abs=1e-14)
 
 
@@ -152,5 +153,3 @@ def test_input_validation():
     with pytest.raises(ValueError):
         GLSpec(kernel=builtin_kernel("gini_abs_diff"),
                discrete=((1.0, 1.5),))
-    with pytest.raises(ValueError):
-        j_integral(WeightFunctionJ.zero(), -0.5, 0.5)

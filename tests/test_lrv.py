@@ -43,25 +43,27 @@ def test_default_bandwidth():
 def test_bandwidth_policies():
     assert BandwidthPolicy.fixed(4.0).resolve(100) == 4.0
     assert BandwidthPolicy.auto().resolve(1000) == 10.0
-    assert BandwidthPolicy.power_law(2.0, 0.25).resolve(16) == pytest.approx(4.0)
+    power = BandwidthPolicy(kind="power_law", c=2.0, e=0.25)
+    assert power.resolve(16) == pytest.approx(4.0)
     with pytest.raises(ValueError):
-        BandwidthPolicy.power_law(1.0, 0.5)
+        BandwidthPolicy(kind="power_law", c=1.0, e=0.5)
     with pytest.raises(ValueError):
         BandwidthPolicy.fixed(0.0)
-    # built directly (as from a config dict), the policy is checked on use
-    for bad in (BandwidthPolicy(kind="fixed", b=-3.0),
-                BandwidthPolicy(kind="fixed", b=float("nan")),
-                BandwidthPolicy(kind="power_law", c=-1.0)):
+    # built directly (as from a config dict), the policy is checked when
+    # built, with the constructors' rules
+    for bad in (dict(kind="fixed", b=-3.0), dict(kind="fixed", b=float("nan")),
+                dict(kind="power_law", c=-1.0)):
         with pytest.raises(ValueError, match="bandwidth must be > 0"):
-            bad.resolve(100)
+            BandwidthPolicy(**bad)
     # and so are the power law's exponent and a finite b_n
     with pytest.raises(ValueError, match="0 < e < 1/2"):
-        BandwidthPolicy(kind="power_law", c=1.0, e=0.9).resolve(1000)
-    for bad in (BandwidthPolicy(kind="fixed", b=float("inf")),
-                BandwidthPolicy.fixed(float("inf")),
-                BandwidthPolicy(kind="power_law", c=float("inf"))):
+        BandwidthPolicy(kind="power_law", c=1.0, e=0.9)
+    for bad in (dict(kind="fixed", b=float("inf")),
+                dict(kind="power_law", c=float("inf"))):
         with pytest.raises(ValueError, match="bandwidth must be finite"):
-            bad.resolve(1000)
+            BandwidthPolicy(**bad)
+    with pytest.raises(ValueError, match="bandwidth must be finite"):
+        BandwidthPolicy.fixed(float("inf"))
 
 
 def test_lrv_ustat_two_point_example():

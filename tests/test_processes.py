@@ -10,7 +10,6 @@ from glstat import (
     InsufficientDataError,
     SimConfig,
     StationarityError,
-    check_egarch_conditions,
     make_rng,
     simulate_egarch,
     simulate_garch11,
@@ -161,17 +160,3 @@ def test_garch11_parameter_validation():
     with pytest.raises(ValueError):
         simulate_garch11(0.0, 0.1, 0.1, z, SimConfig(n=10, burn_in=0))
 
-
-def test_egarch_diagnostics():
-    ok = EgarchParams(alpha0=0.0, alpha=(0.2,), beta=(0.05,),
-                      theta=0.9, lam=0.1)
-    diag = check_egarch_conditions(ok, InnovationModel(kind="ar1", rho=0.8))
-    assert diag.stationarity_ok
-    assert diag.beta_sum == pytest.approx(0.05)
-    assert diag.stationary_log_variance == pytest.approx(0.0)
-    assert not diag.innovations_bounded
-    bad = EgarchParams(alpha0=0.0, alpha=(0.2,), beta=(0.6, 0.5),
-                       theta=0.9, lam=0.1)
-    diag = check_egarch_conditions(bad, InnovationModel())
-    assert not diag.stationarity_ok
-    assert any("stationary" in note for note in diag.notes)

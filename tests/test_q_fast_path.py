@@ -28,7 +28,6 @@ from glstat import (
     build_plugin,
     builtin_kernel,
     custom_kernel,
-    empirical_u_cdf,
     estimator_q,
     gl_confidence_interval,
     gl_statistic,
@@ -103,7 +102,8 @@ def test_counted_route_matches_enumeration(raw, m, shape, alpha, t, seed):
                     == u_quantile(x, ENUM[m], p, conv))
     for s in (t, -t, 0.0, *kvs.sorted_values[::7]):
         assert H.cdf(s) == kvs.cdf(s)
-        assert empirical_u_cdf(x, kern, s) == empirical_u_cdf(x, ENUM[m], s)
+        assert (u_distribution(x, kern).cdf(s)
+                == u_distribution(x, ENUM[m]).cdf(s))
 
     both = plugins(x, fast_spec, enum_spec)
     if shape in ("constant", "n_eq_m"):

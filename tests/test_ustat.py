@@ -14,14 +14,13 @@ from glstat import (
     build_plugin,
     builtin_kernel,
     custom_kernel,
-    empirical_cdf,
-    empirical_u_cdf,
     eval_kernel,
     g1_hat_all,
     gini_gl_spec,
     hoeffding_decompose_population,
     kernel_values,
     q_gl_spec,
+    u_distribution,
     u_quantile,
     u_statistic,
 )
@@ -43,7 +42,7 @@ def test_u_statistic_examples():
     assert u_statistic([0.0, 1.0, 2.0], GINI) == pytest.approx(4.0 / 3.0, abs=1e-15)
     kvs = kernel_values([0.0, 1.0, 2.0], GINI)
     np.testing.assert_array_equal(kvs.sorted_values, [1.0, 1.0, 2.0])
-    assert kvs.n == 3 and kvs.m == 2
+    assert kvs.size == 3
 
 
 def test_u_statistic_matches_brute_force():
@@ -80,11 +79,12 @@ def test_identity_kernel_is_sample_mean():
 def test_u_cdf_is_step_distribution():
     x = np.array([0.0, 1.0, 2.0])
     # kernel values {1, 1, 2}
-    assert empirical_u_cdf(x, GINI, 0.5) == 0.0
-    assert empirical_u_cdf(x, GINI, 1.0) == pytest.approx(2.0 / 3.0)
-    assert empirical_u_cdf(x, GINI, 1.5) == pytest.approx(2.0 / 3.0)
-    assert empirical_u_cdf(x, GINI, 2.0) == 1.0
-    assert empirical_u_cdf(x, GINI, 99.0) == 1.0
+    H = u_distribution(x, GINI)
+    assert H.cdf(0.5) == 0.0
+    assert H.cdf(1.0) == pytest.approx(2.0 / 3.0)
+    assert H.cdf(1.5) == pytest.approx(2.0 / 3.0)
+    assert H.cdf(2.0) == 1.0
+    assert H.cdf(99.0) == 1.0
 
 
 def test_u_quantile_conventions():
@@ -105,21 +105,13 @@ def test_quantile_cdf_consistency():
     x = rng.standard_normal(12)
     for p in (0.1, 0.25, 0.5, 0.9, 1.0):
         q = u_quantile(x, GINI, p)
-        assert empirical_u_cdf(x, GINI, q) >= p - 1e-12
-
-
-def test_empirical_cdf():
-    x = [0.0, 1.0, 2.0, 2.0]
-    assert empirical_cdf(x, -1.0) == 0.0
-    assert empirical_cdf(x, 0.0) == 0.25
-    assert empirical_cdf(x, 2.0) == 1.0
-    assert empirical_cdf(x, 1.5) == 0.5
+        assert u_distribution(x, GINI).cdf(q) >= p - 1e-12
 
 
 def test_g1_hat_examples():
-    assert ustat.project([0.0, 1.0], GINI, at=[0.0])[0] == pytest.approx(
+    assert g1_hat_all([0.0, 1.0], GINI, at=[0.0])[0] == pytest.approx(
         -0.5, abs=1e-15)
-    assert ustat.project([0.0, 1.0, 2.0], GINI, at=[2.0])[0] == pytest.approx(
+    assert g1_hat_all([0.0, 1.0, 2.0], GINI, at=[2.0])[0] == pytest.approx(
         -1.0 / 3.0, abs=1e-15)
 
 
@@ -175,7 +167,7 @@ def test_g1_hat_all_consistent_with_pointwise():
     rng = np.random.default_rng(21)
     x = rng.standard_normal(10)
     fast = g1_hat_all(x, MINP3)
-    slow = np.array([ustat.project(x, MINP3, at=[v])[0] for v in x])
+    slow = np.array([g1_hat_all(x, MINP3, at=[v])[0] for v in x])
     np.testing.assert_allclose(fast, slow, atol=1e-13)
 
 
@@ -226,7 +218,7 @@ def test_capacity_error():
         g1_hat_all(x, builtin_kernel("min_pairwise", {"m": 4}))
     prod = custom_kernel("product", 3, lambda a: a[0] * a[1] * a[2])
     with pytest.raises(CapacityError):
-        ustat.project(np.arange(845.0), prod, at=[0.0])
+        g1_hat_all(np.arange(845.0), prod, at=[0.0])
 
 
 def test_insufficient_data():
