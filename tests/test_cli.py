@@ -630,7 +630,8 @@ def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):
     assert "bandwidth must be finite" in capsys.readouterr().err
     # a policy from a config dict is checked when the config is built,
     # before any cell runs
-    for bw, err in (({"kind": "fixed", "b": -3}, "bandwidth must be > 0, got -3"),
+    for bw, err in (({"kind": "fixed", "b": -3},
+                     "bandwidth must be > 0, got -3"),
                     ({"kind": "power_law", "c": 1, "e": 0.9},
                      "power law needs c > 0 and 0 < e < 1/2"),
                     ({"kind": "fixed", "b": float("inf")},
