@@ -37,7 +37,7 @@ for rho in (0.0, 0.3, 0.6):
 # a wider window picks up more of the dependence
 x = simulate_innovations(InnovationModel(kind="ar1", rho=0.6), n, make_rng(11))
 for b in (5, 16, 40):
-    cfg = LrvConfig(bandwidth=BandwidthPolicy.fixed(b))
+    cfg = LrvConfig(bandwidth=BandwidthPolicy(kind="fixed", b=b))
     print(f"  rho = 0.6, b = {b:>2}: estimate {lrv_ustat(x, ident, cfg):.3f}")
 
 print("\nGini's mean difference on an AR(1) path:")

@@ -11,6 +11,7 @@ import functools
 import io
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -21,7 +22,7 @@ from .gl import ESTIMATORS, GL_SPEC_NAMES, gl_spec, point_estimate
 # perfbench/tracing.py times the estimators by rebinding cli.estimator_*
 from .gl import (estimator_c, estimator_gini,  # noqa: F401
                  estimator_lms, estimator_q)
-from .kernels import builtin_kernel
+from .kernels import BUILTIN_KERNEL_NAMES, builtin_kernel
 from .lrv import (
     BandwidthPolicy,
     LrvConfig,
@@ -83,17 +84,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="GL-statistics toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_estimator_flags(sp):
-        sp.add_argument("--estimator", required=True,
-                        choices=tuple(ESTIMATORS))
-        sp.add_argument("--input", required=True)
-        sp.add_argument("--m", type=int, default=3)
-        sp.add_argument("--alpha", type=float, default=0.5)
-        sp.add_argument("--c-alpha", type=float, default=1.0)
-        sp.add_argument("--verbose", action="store_true")
-
     sp = sub.add_parser("estimate", help="print a point estimate")
-    add_estimator_flags(sp)
+    sp.set_defaults(run=_cmd_estimate)
+    sp.add_argument("--estimator", required=True, choices=tuple(ESTIMATORS))
+    sp.add_argument("--input", required=True)
+    sp.add_argument("--m", type=int, default=3)
+    sp.add_argument("--alpha", type=float, default=0.5)
+    sp.add_argument("--c-alpha", type=float, default=1.0)
+    sp.add_argument("--verbose", action="store_true")
 
     def add_lrv_flags(sp):
         sp.add_argument("--bandwidth", default="auto",
@@ -103,10 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--density-c", type=float, default=0.5)
 
     sp = sub.add_parser("lrv", help="long-run variance estimate")
+    sp.set_defaults(run=_cmd_lrv)
     sp.add_argument("--estimator", choices=GL_SPEC_NAMES)
-    sp.add_argument("--kernel",
-                    choices=["gini_abs_diff", "min_pairwise", "range",
-                             "identity"])
+    sp.add_argument("--kernel", choices=BUILTIN_KERNEL_NAMES)
     sp.add_argument("--input", required=True)
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--alpha", type=float, default=0.5)
@@ -114,6 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_lrv_flags(sp)
 
     sp = sub.add_parser("ci", help="CLT confidence interval")
+    sp.set_defaults(run=_cmd_ci)
     sp.add_argument("--estimator", required=True, choices=GL_SPEC_NAMES)
     sp.add_argument("--input", required=True)
     sp.add_argument("--level", type=float, default=0.95)
@@ -123,6 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_lrv_flags(sp)
 
     sp = sub.add_parser("simulate", help="simulate a process path")
+    sp.set_defaults(run=_cmd_simulate)
     sp.add_argument("--model", required=True, choices=tuple(_MODEL_KINDS))
     sp.add_argument("--config", help="JSON process config (see docs)")
     sp.add_argument("--n", type=int, required=True)
@@ -134,6 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verbose", action="store_true")
 
     sp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
+    sp.set_defaults(run=_cmd_experiment)
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--verbose", action="store_true")
@@ -141,10 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_lrv_config(args) -> LrvConfig:
-    if args.bandwidth == "auto":
-        policy = BandwidthPolicy.auto()
-    else:
-        policy = BandwidthPolicy.fixed(float(args.bandwidth))
+    policy = (BandwidthPolicy() if args.bandwidth == "auto" else
+              BandwidthPolicy(kind="fixed", b=float(args.bandwidth)))
     return LrvConfig(bandwidth=policy,
                      density_halfwidth_c=args.density_c,
                      normalization=args.normalization)
@@ -174,9 +172,8 @@ def _cmd_lrv(args) -> int:
     if args.verbose:
         _echo_defaults(args)
     if args.kernel:
-        kern = builtin_kernel(args.kernel,
-                              {"m": args.m} if args.kernel in
-                              ("min_pairwise", "range") else {})
+        # only min_pairwise and range read m
+        kern = builtin_kernel(args.kernel, {"m": args.m})
         print(_fmt(lrv_ustat(x, kern, cfg)))
         return 0
     if not args.estimator:
@@ -222,15 +219,10 @@ def _cmd_simulate(args) -> int:
         if process.kind != kind:
             raise GlstatError(f"--model {args.model} simulates {kind!r}, "
                               f"but the config's kind is {process.kind!r}")
-    elif args.model == "iid":
-        process = ProcessConfig(kind="iid_gaussian")
-    elif args.model == "ar1":
-        process = ProcessConfig(kind="ar1", rho=args.rho)
-    else:
-        process = ProcessConfig(kind="egarch", rho=args.rho,
-                                burn_in=args.burn_in,
-                                egarch=egarch_scenario(1).egarch,
-                                innovation_kind="ar1")
+    else:  # the options read, over scenario 1 or the kind's defaults
+        base = (egarch_scenario(1) if args.model == "egarch"
+                else ProcessConfig(kind=_MODEL_KINDS[args.model]))
+        process = replace(base, **{k: getattr(args, k) for k in reads})
     if args.verbose:
         _echo_defaults(args)
     path = simulate_path(process, args.n, make_rng(args.seed))
@@ -259,24 +251,12 @@ def _cmd_experiment(args) -> int:
 
 
 def run_cli(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "lrv":
-            return _cmd_lrv(args)
-        if args.command == "ci":
-            return _cmd_ci(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (GlstatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import floor
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -44,27 +44,10 @@ class WeightFunctionJ:
     def constant(c: float) -> "WeightFunctionJ":
         return WeightFunctionJ(pieces=((0.0, 1.0, (c,)),))
 
-    @staticmethod
-    def piecewise(pieces: Sequence[Piece]) -> "WeightFunctionJ":
-        return WeightFunctionJ(pieces=tuple(pieces))
-
     @property
     def is_zero(self) -> bool:
         """J == 0: every piece has only zero coefficients."""
         return not any(any(coeffs) for _, _, coeffs in self.pieces)
-
-    @property
-    def constant_value(self) -> Optional[float]:
-        """The constant c if J == c on all of [0, 1], else None."""
-        if len(self.pieces) != 1:
-            return None
-        lo, hi, coeffs = self.pieces[0]
-        if lo == 0.0 and hi == 1.0 and len(coeffs) == 1:
-            return float(coeffs[0])
-        return None
-
-    def __call__(self, t: float) -> float:
-        return float(self.eval_many(np.array([t]))[0])
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -107,7 +90,13 @@ class GLSpec:
     def linear_constant(self) -> Optional[float]:
         """c if the spec is linear, T(H_n) = c * U_n: J == c on all of
         [0, 1] and no discrete part.  Linear specs never need H_n."""
-        return None if self.discrete else self.weight.constant_value
+        pieces = self.weight.pieces
+        if self.discrete or len(pieces) != 1:
+            return None
+        lo, hi, coeffs = pieces[0]
+        if lo == 0.0 and hi == 1.0 and len(coeffs) == 1:
+            return float(coeffs[0])
+        return None
 
 
 def gl_statistic(sample, spec: GLSpec,

@@ -11,6 +11,7 @@ estimator in this package is parameterized by one.  Built-ins:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional
 
@@ -97,6 +98,11 @@ def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> K
     shared ``RANGE[m]``.
     """
     params = dict(params or {})
+    # not truncated with int(): m = 2.5 must fail, not run m = 2
+    m = params.get("m", 3 if name == "min_pairwise" else 2)
+    if name in ("min_pairwise", "range") and not isinstance(
+            m, numbers.Integral):
+        raise ValueError(f"{name} requires an integer m, got {m!r}")
     if name == "gini_abs_diff":
         return GINI_ABS_DIFF
     if name == "identity":
@@ -107,7 +113,7 @@ def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> K
             eval_rows=lambda r: r[:, 0].copy(),
         )
     if name == "min_pairwise":
-        m = int(params.get("m", 3))
+        m = int(m)
         if m < 2:
             raise ValueError(f"min_pairwise requires m >= 2, got {m}")
         return MIN_PAIRWISE.setdefault(m, KernelSpec(
@@ -117,7 +123,7 @@ def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> K
             eval_rows=_min_pairwise_rows,
         ))
     if name == "range":
-        m = int(params.get("m", 2))
+        m = int(m)
         if m < 2:
             raise ValueError(f"range kernel requires m >= 2, got {m}")
         return RANGE.setdefault(m, KernelSpec(

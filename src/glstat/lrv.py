@@ -90,14 +90,6 @@ class BandwidthPolicy:
         elif self.kind != "auto":
             raise ValueError(f"unknown bandwidth policy {self.kind!r}")
 
-    @staticmethod
-    def fixed(b: float) -> "BandwidthPolicy":
-        return BandwidthPolicy(kind="fixed", b=float(b))
-
-    @staticmethod
-    def auto() -> "BandwidthPolicy":
-        return BandwidthPolicy(kind="auto")
-
     def resolve(self, n: int) -> float:
         """b_n for sample size n."""
         if self.kind == "auto":
@@ -112,7 +104,7 @@ class BandwidthPolicy:
 class LrvConfig:
     """Configuration for long-run variance estimation, checked when built."""
 
-    bandwidth: BandwidthPolicy = field(default_factory=BandwidthPolicy.auto)
+    bandwidth: BandwidthPolicy = field(default_factory=BandwidthPolicy)
     density_halfwidth_c: float = 0.5
     normalization: str = "combinatorial"
 

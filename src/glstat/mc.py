@@ -37,6 +37,7 @@ from .processes import (
     EgarchParams,
     InnovationModel,
     SimConfig,
+    make_rng,
     simulate_egarch,
     simulate_garch11,
     simulate_innovations,
@@ -64,6 +65,13 @@ def _require_keys(d, what: str, keys: Tuple[str, ...],
         if key in lists and not isinstance(d[key], list):
             raise ValueError(f"{what}'s {key!r} must be a JSON list, "
                              f"got {d[key]!r}")
+
+
+def _fields_in(cls, d: dict) -> dict:
+    """The entries of ``d`` that name a field of the dataclass ``cls``:
+    an absent field takes its default, an unknown key is ignored."""
+    names = {f.name for f in fields(cls)}
+    return {k: v for k, v in d.items() if k in names}
 
 
 @dataclass(frozen=True)
@@ -98,35 +106,29 @@ class ProcessConfig:
             raise ValueError("process kind 'egarch' needs an egarch block")
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "rho": self.rho, "burn_in": self.burn_in,
-             "innovation_kind": self.innovation_kind}
-        if self.egarch is not None:
-            d["egarch"] = asdict(self.egarch)
-        if self.garch is not None:
-            d["garch"] = list(self.garch)
+        d = asdict(self)
+        garch = d.pop("garch")
+        if d["egarch"] is None:
+            del d["egarch"]
+        if garch is not None:
+            d["garch"] = list(garch)
         return d
 
     @staticmethod
     def from_dict(d: dict) -> "ProcessConfig":
         _require_keys(d, "process config", ("kind",))
+        kw = _fields_in(ProcessConfig, d)
         eg = d.get("egarch")
         if eg is not None:
             _require_keys(eg, "egarch block",
                           ("alpha0", "alpha", "beta", "theta", "lam"),
                           lists=("alpha", "beta"))
-            # an absent mean_abs_z takes the dataclass default
-            extra = ({"mean_abs_z": eg["mean_abs_z"]} if "mean_abs_z" in eg
-                     else {})
-            eg = EgarchParams(alpha0=eg["alpha0"], alpha=tuple(eg["alpha"]),
-                              beta=tuple(eg["beta"]), theta=eg["theta"],
-                              lam=eg["lam"], **extra)
-        ga = d.get("garch")
-        return ProcessConfig(
-            kind=d["kind"], rho=d.get("rho", 0.0),
-            burn_in=d.get("burn_in", 500), egarch=eg,
-            garch=tuple(ga) if isinstance(ga, list) else ga,
-            innovation_kind=d.get("innovation_kind", "iid_gaussian"),
-        )
+            kw["egarch"] = EgarchParams(**{**_fields_in(EgarchParams, eg),
+                                           "alpha": tuple(eg["alpha"]),
+                                           "beta": tuple(eg["beta"])})
+        if isinstance(d.get("garch"), list):
+            kw["garch"] = tuple(d["garch"])
+        return ProcessConfig(**kw)
 
 
 def egarch_scenario(number: int) -> ProcessConfig:
@@ -160,13 +162,20 @@ class EstimatorConfig:
 
     def __post_init__(self):
         # checked when built, so that an experiment fails before any cell
-        # runs: a negative subsample would silently run exact Q
+        # runs: a negative subsample would silently run exact Q, a string
+        # alpha would fail inside a cell
         if self.name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.name!r}")
         if (not isinstance(self.subsample, numbers.Integral)
                 or self.subsample < 0):
             raise ValueError(f"subsample must be an integer >= 0, "
                              f"got {self.subsample!r}")
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
+        for what in ("alpha", "c_alpha"):
+            if not isinstance(getattr(self, what), numbers.Real):
+                raise ValueError(f"{what} must be a real number, "
+                                 f"got {getattr(self, what)!r}")
 
     @property
     def label(self) -> str:
@@ -174,27 +183,14 @@ class EstimatorConfig:
             return "q_sub"
         return self.name
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @staticmethod
     def from_dict(d: dict) -> "EstimatorConfig":
         _require_keys(d, "estimator config", ("name",))
-        known = {f.name for f in fields(EstimatorConfig)}
+        kw = _fields_in(EstimatorConfig, d)
         for key in d:
-            if key not in known:
+            if key not in kw:
                 raise ValueError(f"unknown estimator option {key!r}")
-        return EstimatorConfig(**d)
-
-
-def _lrv_to_dict(cfg: LrvConfig) -> dict:
-    return {
-        "weight": "bartlett",
-        "bandwidth": {"kind": cfg.bandwidth.kind, "b": cfg.bandwidth.b,
-                      "c": cfg.bandwidth.c, "e": cfg.bandwidth.e},
-        "density_halfwidth_c": cfg.density_halfwidth_c,
-        "normalization": cfg.normalization,
-    }
+        return EstimatorConfig(**kw)
 
 
 def _lrv_from_dict(d: dict) -> LrvConfig:
@@ -203,15 +199,10 @@ def _lrv_from_dict(d: dict) -> LrvConfig:
         raise ValueError(
             f"the lag window is bartlett only, got {d['weight']!r}"
         )
-    bw = d.get("bandwidth", {"kind": "auto"})
+    bw = d.get("bandwidth", {})
     _require_keys(bw, "bandwidth block", ())
-    return LrvConfig(
-        bandwidth=BandwidthPolicy(kind=bw.get("kind", "auto"),
-                                  b=bw.get("b", 0.0), c=bw.get("c", 1.0),
-                                  e=bw.get("e", 1.0 / 3.0)),
-        density_halfwidth_c=d.get("density_halfwidth_c", 0.5),
-        normalization=d.get("normalization", "combinatorial"),
-    )
+    return LrvConfig(**{**_fields_in(LrvConfig, d), "bandwidth":
+                        BandwidthPolicy(**_fields_in(BandwidthPolicy, bw))})
 
 
 @dataclass(frozen=True)
@@ -252,16 +243,13 @@ class ExperimentConfig:
                 raise ValueError(f"duplicate estimator label {label!r}")
 
     def to_dict(self) -> dict:
-        d = {
-            "process": self.process.to_dict(),
-            "estimators": [e.to_dict() for e in self.estimators],
-            "sample_sizes": list(self.sample_sizes),
-            "replications": self.replications,
-            "seed": self.seed,
-            "ci_level": self.ci_level,
-        }
-        if self.lrv is not None:
-            d["lrv"] = _lrv_to_dict(self.lrv)
+        d = asdict(self)
+        d.update(process=self.process.to_dict(),
+                 estimators=list(d["estimators"]),
+                 sample_sizes=list(self.sample_sizes))
+        lrv = d.pop("lrv")
+        if lrv is not None:  # the lag window is always bartlett
+            d["lrv"] = {"weight": "bartlett", **lrv}
         return d
 
     @staticmethod
@@ -269,16 +257,14 @@ class ExperimentConfig:
         _require_keys(d, "experiment config",
                       ("process", "estimators", "sample_sizes"),
                       lists=("estimators", "sample_sizes"))
-        return ExperimentConfig(
-            process=ProcessConfig.from_dict(d["process"]),
-            estimators=tuple(EstimatorConfig.from_dict(e)
-                             for e in d["estimators"]),
-            sample_sizes=tuple(d["sample_sizes"]),
-            replications=d.get("replications", DEFAULT_REPLICATIONS),
-            seed=d.get("seed", 0),
-            lrv=_lrv_from_dict(d["lrv"]) if "lrv" in d else None,
-            ci_level=d.get("ci_level", 0.95),
-        )
+        kw = _fields_in(ExperimentConfig, d)
+        kw.update(process=ProcessConfig.from_dict(d["process"]),
+                  estimators=tuple(EstimatorConfig.from_dict(e)
+                                   for e in d["estimators"]),
+                  sample_sizes=tuple(d["sample_sizes"]))
+        if "lrv" in d:
+            kw["lrv"] = _lrv_from_dict(d["lrv"])
+        return ExperimentConfig(**kw)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -297,9 +283,7 @@ def load_config(path) -> ExperimentConfig:
 
 def _cell_rng(seed: int, label: str, n: int, rep: int) -> np.random.Generator:
     tag = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(tag, int(n), int(rep)))
-    return np.random.Generator(np.random.Philox(ss))
+    return make_rng(seed, tag, n, rep)
 
 
 def simulate_path(process: ProcessConfig, n: int,

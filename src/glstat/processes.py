@@ -2,16 +2,19 @@
 iid Gaussian and AR(1) innovations, GARCH(1,1), and EGARCH(p, q).
 
 Determinism contract: every stream comes from numpy's counter-based
-Philox generator seeded through SeedSequence.  Replication substreams
-are derived as SeedSequence(entropy=seed, spawn_key=(replication,)), so
-identical configuration means bit-identical output on any platform.
+Philox generator seeded through SeedSequence: ``make_rng(seed,
+*spawn_key)`` is SeedSequence(entropy=seed, spawn_key=spawn_key).  A bare
+seed is the ``glstat simulate --seed`` stream; an experiment keys each
+replication by (seed, estimator label tag, n, replication).  Identical
+configuration means bit-identical output on any platform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from math import pi, sqrt
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -20,10 +23,10 @@ from .errors import InsufficientDataError, StationarityError
 GAUSSIAN_MEAN_ABS = sqrt(2.0 / pi)  # E|Z| for Z ~ N(0, 1)
 
 
-def make_rng(seed: int, replication: Optional[int] = None) -> np.random.Generator:
-    """Philox generator for (seed) or the (seed, replication) substream."""
-    spawn_key = () if replication is None else (int(replication),)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
+def make_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """Philox generator for the (seed, *spawn_key) substream."""
+    ss = np.random.SeedSequence(entropy=int(seed),
+                                spawn_key=tuple(int(k) for k in spawn_key))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -116,6 +119,13 @@ class EgarchParams:
     def __post_init__(self):
         if len(self.alpha) < 1 or len(self.beta) < 1:
             raise ValueError("EGARCH needs p >= 1 and q >= 1")
+        # a string would reach the recursion and fail inside numpy
+        for f in fields(self):
+            v = getattr(self, f.name)
+            for a in v if f.name in ("alpha", "beta") else (v,):
+                if not isinstance(a, numbers.Real):
+                    raise ValueError(f"EGARCH {f.name} must be a real "
+                                     f"number, got {a!r}")
 
     @property
     def beta_sum(self) -> float:

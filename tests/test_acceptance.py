@@ -231,7 +231,7 @@ def test_lrv_identity_kernel_iid_and_ar1():
     from glstat import InnovationModel, simulate_innovations
     ar = InnovationModel(kind="ar1", rho=0.5)
     for rep in range(reps):
-        rng = make_rng(20260827, replication=rep)
+        rng = make_rng(20260827, rep)
         iid_vals.append(lrv_ustat(rng.standard_normal(n), ident))
         ar_vals.append(lrv_ustat(simulate_innovations(ar, n, rng), ident))
     med_iid = float(np.median(iid_vals))

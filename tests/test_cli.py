@@ -660,6 +660,12 @@ def _egarch_with(**params):
     ("sample_sizes", 30),
     ("ci_level", [1]),
     ("process", _egarch_with(alpha=0.2)),
+    # option types are checked when built, not inside a cell: a string
+    # alpha would end in a TypeError, m = 2.5 would run m = 2
+    ("estimators", [{"name": "q", "alpha": "0.5"}]),
+    ("estimators", [{"name": "q", "m": 2.5}]),
+    ("estimators", [{"name": "c", "alpha": 0.25, "c_alpha": "1"}]),
+    ("process", _egarch_with(theta="x")),
 ])
 def test_malformed_config_values_are_domain_errors(tmp_path, capsys, key,
                                                    value):
@@ -699,6 +705,12 @@ def test_csv_errors_are_domain_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
     with pytest.raises(GlstatError, match="field larger than field limit"):
         read_series(big)
+
+
+def test_lrv_needs_an_estimator_or_a_kernel(three_csv, capsys):
+    assert run_cli(["lrv", "--input", three_csv]) == 1
+    assert capsys.readouterr() == (
+        "", "error: lrv needs either --estimator or --kernel\n")
 
 
 def test_exit_code_2_on_usage_error(three_csv):

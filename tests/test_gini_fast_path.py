@@ -64,8 +64,8 @@ def test_gini_closed_forms_match_enumeration(raw, shape, c, seed):
     fast_spec = GLSpec(kernel=GINI_ABS_DIFF,
                        weight=WeightFunctionJ.constant(c))
     enum_spec = GLSpec(kernel=ENUM_ABS_DIFF,
-                       weight=WeightFunctionJ.piecewise(
-                           [(0.0, 0.5, (c,)), (0.5, 1.0, (c,))]))
+                       weight=WeightFunctionJ(
+                           pieces=((0.0, 0.5, (c,)), (0.5, 1.0, (c,)))))
     assert (fast_spec == gini_gl_spec()) == (c == 1.0)
     x = np.array(raw)
     if shape == "tied":

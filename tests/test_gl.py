@@ -37,16 +37,16 @@ def j_integral(J, lo, hi):
 def test_weight_constructors_and_integrals():
     assert j_integral(WeightFunctionJ.constant(1.0), 0.0, 1.0) == pytest.approx(1.0)
     assert j_integral(WeightFunctionJ.constant(3.0), 0.25, 0.75) == pytest.approx(1.5)
-    lin = WeightFunctionJ.piecewise([(0.0, 1.0, (0.0, 2.0))])  # J(t) = 2t
+    lin = WeightFunctionJ(pieces=((0.0, 1.0, (0.0, 2.0)),))  # J(t) = 2t
     assert j_integral(lin, 0.0, 1.0) == pytest.approx(1.0)
-    assert lin(0.5) == pytest.approx(1.0)
+    assert lin.eval_many([0.5])[0] == pytest.approx(1.0)
     assert j_integral(WeightFunctionJ(), 0.0, 1.0) == 0.0
 
 
 def test_piecewise_weight():
-    J = WeightFunctionJ.piecewise([(0.0, 0.5, (1.0,)), (0.5, 1.0, (0.0, 2.0))])
-    assert J(0.25) == 1.0
-    assert J(0.75) == pytest.approx(1.5)
+    J = WeightFunctionJ(pieces=((0.0, 0.5, (1.0,)), (0.5, 1.0, (0.0, 2.0))))
+    assert J.eval_many([0.25])[0] == 1.0
+    assert J.eval_many([0.75])[0] == pytest.approx(1.5)
     assert j_integral(J, 0.0, 1.0) == pytest.approx(0.5 + 0.75)
 
 

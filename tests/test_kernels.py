@@ -38,6 +38,13 @@ def test_unknown_name_and_bad_m():
         builtin_kernel("min_pairwise", {"m": 1})
     with pytest.raises(ValueError):
         builtin_kernel("range", {"m": 1})
+    # not truncated: m = 2.5 must not run m = 2
+    for name in ("min_pairwise", "range"):
+        for m in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match=f"{name} requires an "
+                               f"integer m, got {m!r}"):
+                builtin_kernel(name, {"m": m})
+    assert builtin_kernel("range", {"m": np.int64(3)}).m == 3
 
 
 def test_dimension_mismatch_and_nonfinite_rejected():

@@ -41,16 +41,16 @@ def test_default_bandwidth():
 
 
 def test_bandwidth_policies():
-    assert BandwidthPolicy.fixed(4.0).resolve(100) == 4.0
-    assert BandwidthPolicy.auto().resolve(1000) == 10.0
+    assert BandwidthPolicy(kind="fixed", b=4.0).resolve(100) == 4.0
+    assert BandwidthPolicy().resolve(1000) == 10.0
     power = BandwidthPolicy(kind="power_law", c=2.0, e=0.25)
     assert power.resolve(16) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         BandwidthPolicy(kind="power_law", c=1.0, e=0.5)
     with pytest.raises(ValueError):
-        BandwidthPolicy.fixed(0.0)
-    # built directly (as from a config dict), the policy is checked when
-    # built, with the constructors' rules
+        BandwidthPolicy(kind="fixed", b=0.0)
+    # built from keyword arguments (as from a config dict), the policy
+    # is checked when built
     for bad in (dict(kind="fixed", b=-3.0), dict(kind="fixed", b=float("nan")),
                 dict(kind="power_law", c=-1.0)):
         with pytest.raises(ValueError, match="bandwidth must be > 0"):
@@ -63,11 +63,11 @@ def test_bandwidth_policies():
         with pytest.raises(ValueError, match="bandwidth must be finite"):
             BandwidthPolicy(**bad)
     with pytest.raises(ValueError, match="bandwidth must be finite"):
-        BandwidthPolicy.fixed(float("inf"))
+        BandwidthPolicy(kind="fixed", b=float("inf"))
 
 
 def test_lrv_ustat_two_point_example():
-    cfg = LrvConfig(bandwidth=BandwidthPolicy.fixed(1.0))
+    cfg = LrvConfig(bandwidth=BandwidthPolicy(kind="fixed", b=1.0))
     assert lrv_ustat([0.0, 1.0], GINI, cfg) == pytest.approx(0.25, abs=1e-15)
 
 
@@ -86,7 +86,7 @@ def test_lrv_matches_brute_force():
     rng = np.random.default_rng(41)
     x = rng.standard_normal(30)
     for b in (1.0, 3.0, 7.5):
-        cfg = LrvConfig(bandwidth=BandwidthPolicy.fixed(b))
+        cfg = LrvConfig(bandwidth=BandwidthPolicy(kind="fixed", b=b))
         assert lrv_ustat(x, GINI, cfg) == pytest.approx(
             brute_lrv(x, GINI, b), rel=1e-12)
 
@@ -221,8 +221,8 @@ def test_lrv_gl_matches_lrv_ustat_for_gini():
 def test_confidence_interval_basic_properties():
     rng = np.random.default_rng(79)
     x = rng.standard_normal(300)
-    two_piece = GLSpec(kernel=GINI, weight=WeightFunctionJ.piecewise(
-        [(0.0, 0.5, (1.0,)), (0.5, 1.0, (0.0, 2.0))]))
+    two_piece = GLSpec(kernel=GINI, weight=WeightFunctionJ(
+        pieces=((0.0, 0.5, (1.0,)), (0.5, 1.0, (0.0, 2.0)))))
     for spec in (gini_gl_spec(), q_gl_spec(m=2), q_gl_spec(m=3), two_piece):
         lo, hi = gl_confidence_interval(x, spec, level=0.95)
         t = gl_statistic(x, spec)
@@ -240,7 +240,7 @@ def test_confidence_interval_basic_properties():
 def test_confidence_interval_reuses_a_given_plugin():
     rng = np.random.default_rng(83)
     x = rng.standard_normal(400)
-    cfg = LrvConfig(bandwidth=BandwidthPolicy.fixed(5.0),
+    cfg = LrvConfig(bandwidth=BandwidthPolicy(kind="fixed", b=5.0),
                     density_halfwidth_c=0.8)
     for spec in (gini_gl_spec(), q_gl_spec(m=3)):
         plugin = build_plugin(x, spec, cfg)
@@ -315,8 +315,8 @@ def test_influence_kernel_between_and_beyond_kernel_values():
     # route's A(v) = v - U_n there too.
     plus = custom_kernel("plus", 2, lambda a: a[0] + a[1],
                          eval_rows=lambda r: r[:, 0] + r[:, 1])
-    split = GLSpec(kernel=plus, weight=WeightFunctionJ.piecewise(
-        [(0.0, 0.5, (1.0,)), (0.5, 1.0, (1.0,))]))
+    split = GLSpec(kernel=plus, weight=WeightFunctionJ(
+        pieces=((0.0, 0.5, (1.0,)), (0.5, 1.0, (1.0,)))))
     linear = GLSpec(kernel=plus, weight=WeightFunctionJ.constant(1.0))
     x = np.array([0.0, 1.0, 2.0, 5.0])
     np.testing.assert_allclose(a1_hat_all(x, split), [-2.0, -1.0, 0.0, 3.0],

@@ -387,6 +387,52 @@ def test_non_integral_counts_are_rejected_not_truncated():
     assert small_config(sample_sizes=(np.int64(30), 60)) == small_config()
 
 
+def test_estimator_option_types_are_checked_when_built():
+    for key, value, err in (("m", 2.5, "m must be an integer, got 2.5"),
+                            ("m", "3", "m must be an integer, got '3'"),
+                            ("alpha", "0.5",
+                             "alpha must be a real number, got '0.5'"),
+                            ("c_alpha", None,
+                             "c_alpha must be a real number, got None")):
+        with pytest.raises(ValueError, match=err):
+            EstimatorConfig(name="q", **{key: value})
+        with pytest.raises(ValueError, match=err):
+            ExperimentConfig.from_dict(dict(
+                small_config().to_dict(),
+                estimators=[{"name": "q", key: value}]))
+    # numpy numbers are numbers
+    assert EstimatorConfig(name="q", m=np.int64(3), alpha=np.float64(0.5)) \
+        == EstimatorConfig(name="q")
+
+
+def test_to_dict_values_are_pinned():
+    cfg = ExperimentConfig(
+        process=ProcessConfig(kind="garch11", garch=(0.1, 0.1, 0.8)),
+        estimators=(EstimatorConfig(name="c", alpha=0.25),),
+        sample_sizes=(30,), replications=4,
+        lrv=LrvConfig(bandwidth=BandwidthPolicy(kind="fixed", b=3.0)))
+    assert cfg.to_dict() == {
+        "process": {"kind": "garch11", "rho": 0.0, "burn_in": 500,
+                    "innovation_kind": "iid_gaussian",
+                    "garch": [0.1, 0.1, 0.8]},
+        "estimators": [{"name": "c", "m": 3, "alpha": 0.25,
+                        "c_alpha": 1.0, "subsample": 0}],
+        "sample_sizes": [30], "replications": 4, "seed": 0,
+        "ci_level": 0.95,
+        "lrv": {"weight": "bartlett",
+                "bandwidth": {"kind": "fixed", "b": 3.0, "c": 1.0,
+                              "e": 1.0 / 3.0},
+                "density_halfwidth_c": 0.5,
+                "normalization": "combinatorial"}}
+    assert egarch_scenario(2).to_dict() == {
+        "kind": "egarch", "rho": 0.8, "burn_in": 500,
+        "innovation_kind": "ar1",
+        "egarch": {"alpha0": 0.0, "alpha": (0.8,), "beta": (0.1,),
+                   "theta": 0.9, "lam": 0.1,
+                   "mean_abs_z": egarch_scenario(2).egarch.mean_abs_z}}
+    assert "lrv" not in small_config().to_dict()
+
+
 def test_config_with_output_dir_key_loads(tmp_path):
     # configs written before output_dir was dropped still load
     d = small_config().to_dict()
@@ -394,6 +440,14 @@ def test_config_with_output_dir_key_loads(tmp_path):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(dict(d, output_dir="old_reports")))
     assert load_config(p) == small_config()
+    # unknown keys in the process, egarch, lrv and bandwidth blocks are
+    # ignored too
+    cfg = small_config(process=egarch_scenario(1), lrv=LrvConfig())
+    d = json.loads(cfg.to_json())
+    for block in (d["process"], d["process"]["egarch"], d["lrv"],
+                  d["lrv"]["bandwidth"]):
+        block["note"] = 1
+    assert ExperimentConfig.from_dict(d) == cfg
 
 
 def test_run_experiment_small():
@@ -490,6 +544,19 @@ def test_interval_cells_take_the_estimate_from_the_plugin():
         "InsufficientDataError: need at least m=3 observations, got n=2")
     assert short.cells[("gini", 1)].error == (
         "InsufficientDataError: Gini's mean difference needs n >= 2")
+
+
+def test_interval_cell_reraises_the_plugin_error():
+    # at n = 3 exact Q has one kernel value: the estimator succeeds, the
+    # plug-in's density fails, and the cell records the plug-in's error
+    report = run_experiment(small_config(
+        estimators=(EstimatorConfig(name="q", m=3),), sample_sizes=(3,),
+        replications=4, lrv=LrvConfig()))
+    cell = report.cells[("q", 3)]
+    assert cell.estimates is None
+    assert cell.error == ("DegenerateDensityError: kernel-value "
+                          "interquartile range is zero; H_n is (locally) "
+                          "flat")
 
 
 def test_degenerate_cell_is_recorded_not_raised():

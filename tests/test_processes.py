@@ -1,3 +1,4 @@
+import re
 from math import exp, sqrt
 
 import numpy as np
@@ -25,10 +26,23 @@ def test_make_rng_is_deterministic_and_substreamed():
     a = make_rng(123).standard_normal(5)
     b = make_rng(123).standard_normal(5)
     np.testing.assert_array_equal(a, b)
-    c = make_rng(123, replication=0).standard_normal(5)
-    d = make_rng(123, replication=1).standard_normal(5)
+    c = make_rng(123, 0).standard_normal(5)
+    d = make_rng(123, 1).standard_normal(5)
     assert not np.array_equal(a, c)
     assert not np.array_equal(c, d)
+
+
+def test_egarch_parameters_must_be_real_numbers():
+    good = dict(alpha0=0.0, alpha=(0.2,), beta=(0.05,), theta=0.9, lam=0.1)
+    EgarchParams(**good, mean_abs_z=np.float64(0.8))
+    for key, value, shown in (("alpha0", "0", "'0'"), ("theta", "x", "'x'"),
+                              ("lam", None, "None"),
+                              ("mean_abs_z", [0.8], "[0.8]"),
+                              ("alpha", (0.2, "x"), "'x'"),
+                              ("beta", ("0.05",), "'0.05'")):
+        with pytest.raises(ValueError, match=f"EGARCH {key} must be a real "
+                           f"number, got {re.escape(shown)}"):
+            EgarchParams(**dict(good, **{key: value}))
 
 
 def test_iid_innovations_moments():
