@@ -91,8 +91,8 @@ RANGE: Dict[int, KernelSpec] = {}
 def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> KernelSpec:
     """Construct a built-in kernel by name.
 
-    ``min_pairwise`` and ``range`` take the dimension via ``params['m']``
-    (default 3 for min_pairwise, required >= 2 for both).
+    ``min_pairwise`` and ``range`` take the dimension via ``params['m']``,
+    an integer >= 2 (default 3 for min_pairwise, 2 for range).
     ``gini_abs_diff`` always returns the shared ``GINI_ABS_DIFF``,
     ``min_pairwise`` the shared ``MIN_PAIRWISE[m]`` and ``range`` the
     shared ``RANGE[m]``.
