@@ -11,8 +11,8 @@ import numpy as np
 
 from glstat import (
     BandwidthPolicy,
-    InnovationModel,
     LrvConfig,
+    ProcessConfig,
     builtin_kernel,
     estimator_gini,
     gini_gl_spec,
@@ -20,7 +20,7 @@ from glstat import (
     lrv_gl,
     lrv_ustat,
     make_rng,
-    simulate_innovations,
+    simulate_path,
 )
 
 ident = builtin_kernel("identity")
@@ -28,21 +28,19 @@ n = 4000
 
 print("long-run variance of the mean (Bartlett window, b = n^(1/3)):")
 for rho in (0.0, 0.3, 0.6):
-    model = InnovationModel(kind="ar1", rho=rho) if rho else InnovationModel()
-    x = simulate_innovations(model, n, make_rng(11))
+    x = simulate_path(ProcessConfig(kind="ar1", rho=rho), n, make_rng(11))
     truth = (1 + rho) / (1 - rho)
     print(f"  rho = {rho:.1f}: estimate {lrv_ustat(x, ident):.3f},"
           f"  truth {truth:.3f}")
 
 # a wider window picks up more of the dependence
-x = simulate_innovations(InnovationModel(kind="ar1", rho=0.6), n, make_rng(11))
+x = simulate_path(ProcessConfig(kind="ar1", rho=0.6), n, make_rng(11))
 for b in (5, 16, 40):
     cfg = LrvConfig(bandwidth=BandwidthPolicy(kind="fixed", b=b))
     print(f"  rho = 0.6, b = {b:>2}: estimate {lrv_ustat(x, ident, cfg):.3f}")
 
 print("\nGini's mean difference on an AR(1) path:")
-x = simulate_innovations(InnovationModel(kind="ar1", rho=0.5), 2000,
-                         make_rng(13))
+x = simulate_path(ProcessConfig(kind="ar1", rho=0.5), 2000, make_rng(13))
 spec = gini_gl_spec()
 report = lrv_gl(x, spec)
 lo, hi = gl_confidence_interval(x, spec, level=0.95)

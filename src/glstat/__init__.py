@@ -55,16 +55,7 @@ from .mc import (
     simulate_path,
     write_report,
 )
-from .processes import (
-    GAUSSIAN_MEAN_ABS,
-    EgarchParams,
-    InnovationModel,
-    SimConfig,
-    make_rng,
-    simulate_egarch,
-    simulate_garch11,
-    simulate_innovations,
-)
+from .processes import GAUSSIAN_MEAN_ABS, EgarchParams, make_rng
 from .ustat import (
     KernelValueSet,
     MinPairwiseCounts,

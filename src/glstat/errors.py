@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by all glstat modules."""
+"""Exception hierarchy shared by all glstat modules, and the number
+check behind their domain errors."""
+
+import numbers
+
+
+def is_number(v, integral: bool = False) -> bool:
+    """True for a real number (an integer if ``integral``) that is not a
+    bool: JSON true and false must not pass as 1 and 0."""
+    return (isinstance(v, numbers.Integral if integral else numbers.Real)
+            and not isinstance(v, bool))
 
 
 class GlstatError(Exception):

@@ -11,11 +11,12 @@ estimator in this package is parameterized by one.  Built-ins:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
+
+from .errors import is_number
 
 BUILTIN_KERNEL_NAMES = ("gini_abs_diff", "min_pairwise", "range", "identity")
 
@@ -100,8 +101,7 @@ def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> K
     params = dict(params or {})
     # not truncated with int(): m = 2.5 must fail, not run m = 2
     m = params.get("m", 3 if name == "min_pairwise" else 2)
-    if name in ("min_pairwise", "range") and not isinstance(
-            m, numbers.Integral):
+    if name in ("min_pairwise", "range") and not is_number(m, integral=True):
         raise ValueError(f"{name} requires an integer m, got {m!r}")
     if name == "gini_abs_diff":
         return GINI_ABS_DIFF

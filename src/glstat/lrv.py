@@ -24,14 +24,13 @@ only through 1[h <= xi_hat], so Ahat_1 comes from counts of H_n
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from math import comb, inf, isfinite, log, nan, sqrt
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateDensityError, InsufficientDataError
+from .errors import DegenerateDensityError, InsufficientDataError, is_number
 from .gl import GLSpec, gl_statistic
 # eval_kernel_rows is unused here but stays a module attribute:
 # perfbench/tracing.py counts kernel rows by rebinding lrv.eval_kernel_rows
@@ -63,7 +62,7 @@ def default_bandwidth(n: int) -> int:
 
 def _check_positive(what: str, v) -> None:
     """ValueError unless v is a finite real number > 0."""
-    if not (isinstance(v, numbers.Real) and v > 0):
+    if not (is_number(v) and v > 0):
         raise ValueError(f"{what} must be > 0, got {v}")
     if not isfinite(v):
         raise ValueError(f"{what} must be finite, got {v}")
@@ -84,7 +83,7 @@ class BandwidthPolicy:
         if self.kind == "fixed":
             _check_positive("bandwidth", self.b)
         elif self.kind == "power_law":
-            if not (isinstance(self.e, numbers.Real) and 0 < self.e < 0.5):
+            if not (is_number(self.e) and 0 < self.e < 0.5):
                 raise ValueError("power law needs c > 0 and 0 < e < 1/2")
             _check_positive("bandwidth", self.c)
         elif self.kind != "auto":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, combinations
@@ -20,7 +19,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, GlstatError
+from .errors import (DegenerateVarianceError, GlstatError,
+                     StationarityError, is_number)
 from .gl import ESTIMATORS, gl_spec, point_estimate
 # estimator_* are unused here but stay module attributes:
 # perfbench/tracing.py times the estimators by rebinding mc.estimator_*
@@ -33,15 +33,7 @@ from .lrv import (
     gl_confidence_interval,
     normal_quantile,
 )
-from .processes import (
-    EgarchParams,
-    InnovationModel,
-    SimConfig,
-    make_rng,
-    simulate_egarch,
-    simulate_garch11,
-    simulate_innovations,
-)
+from .processes import EgarchParams, _ar1, _egarch, _garch11, make_rng
 from .ustat import as_sample
 
 DEFAULT_REPLICATIONS = 500
@@ -86,22 +78,34 @@ class ProcessConfig:
     innovation_kind: str = "iid_gaussian"
 
     def __post_init__(self):
-        # checked when built: a float burn-in would reach the generator
-        # as a length, an unknown kind would fail only once simulated
+        # checked once, when built: simulate_path and the recursions it
+        # runs read every field unchecked.  A float burn-in would reach
+        # the generator as a length, a string rho would fail in abs()
         if self.kind not in PROCESS_KINDS:
             raise ValueError(f"unknown process kind {self.kind!r}")
-        if (not isinstance(self.burn_in, numbers.Integral)
-                or self.burn_in < 0):
+        if self.innovation_kind not in ("iid_gaussian", "ar1"):
+            raise ValueError(f"unknown innovation kind "
+                             f"{self.innovation_kind!r}")
+        if not (is_number(self.burn_in, integral=True) and self.burn_in >= 0):
             raise ValueError(f"burn_in must be an integer >= 0, "
                              f"got {self.burn_in!r}")
-        # simulate_path reads the parameters of its kind unchecked
-        ga = self.garch
-        if self.kind == "garch11" and not (
-                isinstance(ga, (tuple, list)) and len(ga) == 3
-                and all(isinstance(v, numbers.Real) for v in ga)):
-            raise ValueError(f"process kind 'garch11' needs a garch block "
-                             f"of 3 numbers (alpha0, alpha1, beta1), "
-                             f"got {ga!r}")
+        if not is_number(self.rho):
+            raise ValueError(f"rho must be a real number, got {self.rho!r}")
+        if not abs(self.rho) < 1.0:
+            raise StationarityError(
+                f"AR(1) requires |rho| < 1, got {self.rho}")
+        if self.kind == "garch11":
+            ga = self.garch
+            if not (isinstance(ga, (tuple, list)) and len(ga) == 3
+                    and all(is_number(v) for v in ga)):
+                raise ValueError(f"process kind 'garch11' needs a garch "
+                                 f"block of 3 numbers (alpha0, alpha1, "
+                                 f"beta1), got {ga!r}")
+            a0, a1, b1 = ga
+            if a0 <= 0 or a1 < 0 or b1 < 0:
+                raise ValueError("need alpha0 > 0, alpha1 >= 0, beta1 >= 0")
+            if a1 + b1 >= 1.0:
+                raise StationarityError(f"alpha1 + beta1 = {a1 + b1} >= 1")
         if self.kind == "egarch" and self.egarch is None:
             raise ValueError("process kind 'egarch' needs an egarch block")
 
@@ -166,14 +170,14 @@ class EstimatorConfig:
         # alpha would fail inside a cell
         if self.name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.name!r}")
-        if (not isinstance(self.subsample, numbers.Integral)
-                or self.subsample < 0):
+        if not (is_number(self.subsample, integral=True)
+                and self.subsample >= 0):
             raise ValueError(f"subsample must be an integer >= 0, "
                              f"got {self.subsample!r}")
-        if not isinstance(self.m, numbers.Integral):
+        if not is_number(self.m, integral=True):
             raise ValueError(f"m must be an integer, got {self.m!r}")
         for what in ("alpha", "c_alpha"):
-            if not isinstance(getattr(self, what), numbers.Real):
+            if not is_number(getattr(self, what)):
                 raise ValueError(f"{what} must be a real number, "
                                  f"got {getattr(self, what)!r}")
 
@@ -224,7 +228,7 @@ class ExperimentConfig:
         for what, v in (("replications", self.replications),
                         ("seed", self.seed),
                         *(("sample size", n) for n in self.sample_sizes)):
-            if not isinstance(v, numbers.Integral):
+            if not is_number(v, integral=True):
                 raise ValueError(f"{what} must be an integer, got {v!r}")
         # the normality summary of each cell needs 4 estimates
         if self.replications < 4:
@@ -232,7 +236,7 @@ class ExperimentConfig:
         for n in self.sample_sizes:
             if n < 1:
                 raise ValueError(f"sample sizes must be >= 1, got {n}")
-        if not (isinstance(self.ci_level, numbers.Real)
+        if not (is_number(self.ci_level)
                 and 0.0 < self.ci_level < 1.0):
             raise ValueError(f"ci_level must be in (0, 1), "
                              f"got {self.ci_level!r}")
@@ -288,24 +292,23 @@ def _cell_rng(seed: int, label: str, n: int, rep: int) -> np.random.Generator:
 
 def simulate_path(process: ProcessConfig, n: int,
                   rng: np.random.Generator) -> np.ndarray:
-    # checks n for every kind, before any draw
-    sim = SimConfig(n=n, burn_in=process.burn_in)
+    """The length-n path of ``process`` drawn from ``rng``.  GARCH and
+    EGARCH drop their first ``lead`` values: the burn-in, and EGARCH's
+    max(p, q) start-up steps."""
+    if n < 1:  # for every kind, before any draw
+        raise ValueError(f"n must be >= 1, got {n}")
     if process.kind == "iid_gaussian":
         return rng.standard_normal(n)
     if process.kind == "ar1":
-        model = InnovationModel(kind="ar1", rho=process.rho)
-        return simulate_innovations(model, n, rng)
+        return _ar1(rng.standard_normal(n), process.rho)
+    eg = process.egarch
+    lead = process.burn_in + (max(len(eg.alpha), len(eg.beta))
+                              if process.kind == "egarch" else 0)
+    rho = process.rho if process.innovation_kind == "ar1" else 0.0
+    z = _ar1(rng.standard_normal(n + lead), rho)
     if process.kind == "garch11":
-        model = InnovationModel(kind=process.innovation_kind, rho=process.rho)
-        z = simulate_innovations(model, n + process.burn_in, rng)
-        a0, a1, b1 = process.garch
-        return simulate_garch11(a0, a1, b1, z, sim)
-    # egarch, the last of PROCESS_KINDS
-    params = process.egarch
-    lag = max(len(params.alpha), len(params.beta))
-    model = InnovationModel(kind=process.innovation_kind, rho=process.rho)
-    z = simulate_innovations(model, n + process.burn_in + lag, rng)
-    return simulate_egarch(params, z, sim)
+        return _garch11(*process.garch, z)[lead:]
+    return _egarch(eg, z)[lead:]  # egarch, the last of PROCESS_KINDS
 
 
 def _gap_chunks(x: np.ndarray, m: int, n_subsets: int,
@@ -432,7 +435,7 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
     x = as_sample(sample)
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    if not isinstance(n_subsets, numbers.Integral):
+    if not is_number(n_subsets, integral=True):
         raise ValueError(f"n_subsets must be an integer, got {n_subsets!r}")
     if n_subsets < 1:
         raise ValueError(f"n_subsets must be at least 1, got {n_subsets}")
@@ -502,11 +505,12 @@ def skewness_and_excess_kurtosis(v: np.ndarray) -> Tuple[float, float]:
     return float(m3 / m2 ** 1.5), float(m4 / m2 ** 2.0 - 3)
 
 
-def normality_summary(values) -> NormalitySummary:
+def normality_summary(values, qq=None) -> NormalitySummary:
+    """``qq``, if given, is ``qq_points(values)``, computed only once."""
     v = np.asarray(values, dtype=float)
     if v.size < 4:
         raise ValueError("need at least 4 values for a normality summary")
-    qq = qq_points(v)
+    qq = qq_points(v) if qq is None else qq
     skewness, excess_kurtosis = skewness_and_excess_kurtosis(v)
     return NormalitySummary(
         mean=float(v.mean()),
@@ -585,7 +589,7 @@ def _run_cell(config: ExperimentConfig, est: EstimatorConfig, n: int,
             "all replications produced the same estimate"
         )
     cell.qq = qq_points(estimates)
-    cell.summary = normality_summary(estimates)
+    cell.summary = normality_summary(estimates, cell.qq)
     if spec is not None:
         grand_mean = float(estimates.mean())
         hits = sum(1 for lo, hi in intervals if lo <= grand_mean <= hi)

@@ -1,5 +1,7 @@
-"""Simulators for the data-generating processes of the normality study:
-iid Gaussian and AR(1) innovations, GARCH(1,1), and EGARCH(p, q).
+"""Recursions of the data-generating processes of the normality study:
+AR(1) innovations, GARCH(1,1) and EGARCH(p, q).  ``mc.simulate_path``,
+the one simulator, draws the innovations and runs these on the
+parameters of a ``mc.ProcessConfig``, checked when it was built.
 
 Determinism contract: every stream comes from numpy's counter-based
 Philox generator seeded through SeedSequence: ``make_rng(seed,
@@ -11,14 +13,13 @@ configuration means bit-identical output on any platform.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 from math import pi, sqrt
 from typing import Tuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, StationarityError
+from .errors import StationarityError, is_number
 
 GAUSSIAN_MEAN_ABS = sqrt(2.0 / pi)  # E|Z| for Z ~ N(0, 1)
 
@@ -30,47 +31,12 @@ def make_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
-class InnovationModel:
-    """Driving noise: iid N(0,1), or an AR(1) scaled to unit marginal
-    variance (Z_t = rho Z_{t-1} + sqrt(1 - rho^2) eps_t)."""
-
-    kind: str = "iid_gaussian"
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("iid_gaussian", "ar1"):
-            raise ValueError(f"unknown innovation kind {self.kind!r}")
-        if self.kind == "ar1" and not abs(self.rho) < 1.0:
-            raise StationarityError(f"AR(1) requires |rho| < 1, got {self.rho}")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Length and burn-in of one simulated path."""
-
-    n: int
-    burn_in: int = 500
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-
-
-def simulate_innovations(model: InnovationModel, n_total: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Length-``n_total`` innovation stream with unit marginal variance,
-    drawn from ``rng``.
-
-    AR(1) starts stationary (Z_1 ~ N(0, 1)).
-    """
-    eps = rng.standard_normal(n_total)
-    if model.kind == "iid_gaussian" or model.rho == 0.0:
+def _ar1(eps: np.ndarray, rho: float) -> np.ndarray:
+    """Innovations with unit marginal variance from the draws ``eps``:
+    eps itself for rho = 0, else the AR(1) Z_t = rho Z_{t-1} +
+    sqrt(1 - rho^2) eps_t, started stationary (Z_1 = eps_1)."""
+    if rho == 0.0:
         return eps
-    rho = model.rho
-    # Z_1 = eps_1 is the stationary initialization
     return _linear_recursion([eps[0]], eps[1:] * sqrt(1.0 - rho * rho),
                              (rho,))
 
@@ -123,9 +89,13 @@ class EgarchParams:
         for f in fields(self):
             v = getattr(self, f.name)
             for a in v if f.name in ("alpha", "beta") else (v,):
-                if not isinstance(a, numbers.Real):
+                if not is_number(a):
                     raise ValueError(f"EGARCH {f.name} must be a real "
                                      f"number, got {a!r}")
+        if not abs(self.beta_sum) < 1.0:
+            raise StationarityError(
+                f"|sum(beta)| = {abs(self.beta_sum)} >= 1"
+            )
 
     @property
     def beta_sum(self) -> float:
@@ -136,27 +106,15 @@ class EgarchParams:
         return self.alpha0 / (1.0 - self.beta_sum)
 
 
-def simulate_egarch(params: EgarchParams, innovations,
-                    sim: SimConfig) -> np.ndarray:
-    """Run the log-variance recursion and return X_t = sigma_t Z_t of
-    length ``sim.n`` after discarding ``sim.burn_in`` values.
+def _egarch(params: EgarchParams, z: np.ndarray) -> np.ndarray:
+    """Run the log-variance recursion over the innovations ``z`` and
+    return X_t = sigma_t Z_t, of the length of ``z``.
 
     log sigma^2 is initialized at its stationary mean alpha0/(1 - sum beta)
     for the first max(p, q) steps.
     """
-    z = np.asarray(innovations, dtype=float)
-    p, q = len(params.alpha), len(params.beta)
-    if not abs(params.beta_sum) < 1.0:
-        raise StationarityError(
-            f"|sum(beta)| = {abs(params.beta_sum)} >= 1"
-        )
-    lag = max(p, q)
-    total = sim.n + sim.burn_in + lag
-    if z.size < total:
-        raise InsufficientDataError(
-            f"need at least {total} innovations, got {z.size}"
-        )
-    z = z[:total]
+    total = z.size
+    lag = max(len(params.alpha), len(params.beta))
     f = params.theta * z + params.lam * (np.abs(z) - params.mean_abs_z)
     init = params.stationary_log_variance
     # drive[t] = alpha0 + sum_i alpha_i f(z_{t-i})
@@ -164,29 +122,16 @@ def simulate_egarch(params: EgarchParams, innovations,
     for i, a in enumerate(params.alpha, start=1):
         drive[lag:] += a * f[lag - i: total - i]
     logv = _linear_recursion([init] * lag, drive[lag:], params.beta)
-    x = np.exp(0.5 * logv) * z
-    return x[lag + sim.burn_in:]
+    return np.exp(0.5 * logv) * z
 
 
-def simulate_garch11(alpha0: float, alpha1: float, beta1: float,
-                     innovations, sim: SimConfig) -> np.ndarray:
+def _garch11(alpha0: float, alpha1: float, beta1: float,
+             z: np.ndarray) -> np.ndarray:
     """GARCH(1,1): sigma_t^2 = alpha0 + alpha1 X_{t-1}^2 + beta1 sigma_{t-1}^2,
     started at the stationary variance alpha0 / (1 - alpha1 - beta1)."""
-    if alpha0 <= 0 or alpha1 < 0 or beta1 < 0:
-        raise ValueError("need alpha0 > 0, alpha1 >= 0, beta1 >= 0")
-    if alpha1 + beta1 >= 1.0:
-        raise StationarityError(
-            f"alpha1 + beta1 = {alpha1 + beta1} >= 1"
-        )
-    z = np.asarray(innovations, dtype=float)
-    total = sim.n + sim.burn_in
-    if z.size < total:
-        raise InsufficientDataError(
-            f"need at least {total} innovations, got {z.size}"
-        )
     var = alpha0 / (1.0 - alpha1 - beta1)
-    x = np.empty(total)
-    for t in range(total):
+    x = np.empty(z.size)
+    for t in range(z.size):
         x[t] = sqrt(var) * z[t]
         var = alpha0 + alpha1 * x[t] ** 2 + beta1 * var
-    return x[sim.burn_in:]
+    return x

@@ -35,6 +35,7 @@ from glstat import (
     make_rng,
     q_gl_spec,
     run_experiment,
+    simulate_path,
     write_report,
 )
 
@@ -228,12 +229,11 @@ def test_lrv_identity_kernel_iid_and_ar1():
     ident = builtin_kernel("identity")
     n, reps = 2000, 100
     iid_vals, ar_vals = [], []
-    from glstat import InnovationModel, simulate_innovations
-    ar = InnovationModel(kind="ar1", rho=0.5)
+    ar = ProcessConfig(kind="ar1", rho=0.5)
     for rep in range(reps):
         rng = make_rng(20260827, rep)
         iid_vals.append(lrv_ustat(rng.standard_normal(n), ident))
-        ar_vals.append(lrv_ustat(simulate_innovations(ar, n, rng), ident))
+        ar_vals.append(lrv_ustat(simulate_path(ar, n, rng), ident))
     med_iid = float(np.median(iid_vals))
     med_ar = float(np.median(ar_vals))
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 from math import comb
 
 import numpy as np
@@ -10,6 +11,7 @@ from min_pairwise_oracle import q_interval
 from glstat import (
     EstimatorConfig,
     GlstatError,
+    ProcessConfig,
     builtin_kernel,
     egarch_scenario,
     estimator_c,
@@ -666,6 +668,18 @@ def _egarch_with(**params):
     ("estimators", [{"name": "q", "m": 2.5}]),
     ("estimators", [{"name": "c", "alpha": 0.25, "c_alpha": "1"}]),
     ("process", _egarch_with(theta="x")),
+    # JSON true and false are not the numbers 1 and 0
+    ("seed", True),
+    ("sample_sizes", [True]),
+    ("estimators", [{"name": "q", "subsample": True}]),
+    ("estimators", [{"name": "gini", "m": True}]),
+    ("estimators", [{"name": "c", "alpha": 0.25, "c_alpha": True}]),
+    ("process", {"kind": "iid_gaussian", "burn_in": True}),
+    ("process", {"kind": "ar1", "rho": False}),
+    ("process", {"kind": "garch11", "garch": [True, 0.1, 0.1]}),
+    ("process", _egarch_with(lam=True)),
+    ("lrv", {"weight": "bartlett", "density_halfwidth_c": True}),
+    ("lrv", {"weight": "bartlett", "bandwidth": {"kind": "fixed", "b": True}}),
 ])
 def test_malformed_config_values_are_domain_errors(tmp_path, capsys, key,
                                                    value):
@@ -677,6 +691,36 @@ def test_malformed_config_values_are_domain_errors(tmp_path, capsys, key,
     assert run_cli(["experiment", "--config", str(cfg_path),
                     "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("process, err", [
+    ({"kind": "ar1", "rho": 1.5}, "AR(1) requires |rho| < 1, got 1.5"),
+    ({"kind": "ar1", "rho": "0.5"}, "rho must be a real number, got '0.5'"),
+    ({"kind": "garch11", "garch": [0.1, 0.1, 0.8], "innovation_kind": "foo"},
+     "unknown innovation kind 'foo'"),
+    # checked whole: iid_gaussian reads no rho, but a bad one still fails
+    ({"kind": "iid_gaussian", "rho": 1.5},
+     "AR(1) requires |rho| < 1, got 1.5"),
+    (_egarch_with(beta=[1.5]), "|sum(beta)| = 1.5 >= 1"),
+    ({"kind": "garch11", "garch": [0.1, 0.5, 0.6]},
+     "alpha1 + beta1 = 1.1 >= 1"),
+    ({"kind": "garch11", "garch": [-1, 0.1, 0.1]},
+     "need alpha0 > 0, alpha1 >= 0, beta1 >= 0"),
+], ids=["ar1_rho", "rho_str", "innovation_kind", "unread_rho",
+        "egarch_beta", "garch_sum", "garch_alpha0"])
+def test_bad_process_parameters_fail_when_built(tmp_path, capsys, process,
+                                                err):
+    # not once per replication inside every cell, and not a traceback
+    cfg = {"process": process, "estimators": [{"name": "gini"}],
+           "sample_sizes": [25], "replications": 8}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises((GlstatError, ValueError), match=re.escape(err)):
+        ProcessConfig.from_dict(json.loads(cfg_path.read_text())["process"])
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
     assert not out.exists()
 
 

@@ -40,7 +40,7 @@ def test_unknown_name_and_bad_m():
         builtin_kernel("range", {"m": 1})
     # not truncated: m = 2.5 must not run m = 2
     for name in ("min_pairwise", "range"):
-        for m in (2.5, 3.0, "3"):
+        for m in (2.5, 3.0, "3", True):
             with pytest.raises(ValueError, match=f"{name} requires an "
                                f"integer m, got {m!r}"):
                 builtin_kernel(name, {"m": m})

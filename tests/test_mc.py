@@ -257,6 +257,7 @@ def test_q_subsampled_golden_values(m, n_subsets):
     (3, 0.5, -5, None),
     (3, 0.5, 100, [0.3, float("nan"), 1.2, 2.0]),
     (3, 0.5, 2.5, None),
+    (3, 0.5, True, None),  # JSON true is not one subset
 ])
 def test_q_subsampled_rejects_bad_arguments_before_drawing(
         m, alpha, n_subsets, sample):
@@ -460,6 +461,15 @@ def test_run_experiment_small():
         assert cell.summary is not None
         assert cell.qq.shape == (20, 2)
         assert np.all(cell.estimates > 0)
+
+
+def test_qq_points_are_computed_once_per_cell():
+    # the cell's QQ points feed its normality summary too
+    with mock.patch.object(mc, "qq_points", wraps=mc.qq_points) as qq:
+        report = run_experiment(small_config())
+    assert qq.call_count == len(report.cells) == 4
+    for cell in report.cells.values():
+        assert cell.summary == normality_summary(cell.estimates)
 
 
 def test_run_experiment_deterministic():

@@ -7,15 +7,15 @@ import pytest
 from glstat import (
     EgarchParams,
     GAUSSIAN_MEAN_ABS,
-    InnovationModel,
-    InsufficientDataError,
-    SimConfig,
+    ProcessConfig,
     StationarityError,
     make_rng,
-    simulate_egarch,
-    simulate_garch11,
-    simulate_innovations,
+    simulate_path,
 )
+
+
+def egarch(params, burn_in=500, **kw):
+    return ProcessConfig(kind="egarch", egarch=params, burn_in=burn_in, **kw)
 
 
 def test_gaussian_mean_abs():
@@ -39,21 +39,25 @@ def test_egarch_parameters_must_be_real_numbers():
                               ("lam", None, "None"),
                               ("mean_abs_z", [0.8], "[0.8]"),
                               ("alpha", (0.2, "x"), "'x'"),
-                              ("beta", ("0.05",), "'0.05'")):
+                              ("beta", ("0.05",), "'0.05'"),
+                              # JSON true is not the number 1
+                              ("theta", True, "True"),
+                              ("alpha", (True,), "True")):
         with pytest.raises(ValueError, match=f"EGARCH {key} must be a real "
                            f"number, got {re.escape(shown)}"):
             EgarchParams(**dict(good, **{key: value}))
 
 
 def test_iid_innovations_moments():
-    z = simulate_innovations(InnovationModel(), 100_000, make_rng(1))
+    z = simulate_path(ProcessConfig(kind="iid_gaussian"), 100_000,
+                      make_rng(1))
     assert abs(z.mean()) < 0.02
     assert z.std() == pytest.approx(1.0, abs=0.02)
 
 
 def test_ar1_innovations_autocorrelation_and_variance():
-    model = InnovationModel(kind="ar1", rho=0.8)
-    z = simulate_innovations(model, 100_000, make_rng(2))
+    z = simulate_path(ProcessConfig(kind="ar1", rho=0.8), 100_000,
+                      make_rng(2))
     assert z.std() == pytest.approx(1.0, abs=0.02)
     r1 = np.corrcoef(z[:-1], z[1:])[0, 1]
     assert r1 == pytest.approx(0.8, abs=0.02)
@@ -63,17 +67,21 @@ def test_recursions_equal_scipy_lfilter():
     # the AR(1) innovations and the q = 1 EGARCH log-variance, against
     # the lfilter forms they replace
     from scipy.signal import lfilter
+
+    def ar1_reference(seed, rho, size):
+        eps = make_rng(seed).standard_normal(size)
+        u = eps * sqrt(1.0 - rho * rho)
+        u[0] = eps[0]
+        return lfilter([1.0], [1.0, -rho], u)
+
     rng = np.random.default_rng(109)
     for _ in range(120):
         rho = float(rng.uniform(-0.99, 0.99))
         total = int(rng.integers(1, 2500))
         seed = int(rng.integers(2**31))
-        z = simulate_innovations(InnovationModel(kind="ar1", rho=rho),
-                                 total, make_rng(seed))
-        eps = make_rng(seed).standard_normal(total)
-        u = eps * sqrt(1.0 - rho * rho)
-        u[0] = eps[0]
-        assert z.tolist() == lfilter([1.0], [1.0, -rho], u).tolist()
+        z = simulate_path(ProcessConfig(kind="ar1", rho=rho), total,
+                          make_rng(seed))
+        assert z.tolist() == ar1_reference(seed, rho, total).tolist()
 
         params = EgarchParams(alpha0=float(rng.normal()),
                               alpha=(float(rng.uniform(-1, 1)),),
@@ -81,9 +89,10 @@ def test_recursions_equal_scipy_lfilter():
                               theta=float(rng.normal()),
                               lam=float(rng.uniform(0, 1)))
         burn_in = int(rng.integers(0, total))
-        sim = SimConfig(n=total - burn_in, burn_in=burn_in)
-        zz = np.concatenate(([float(rng.normal())], z))
-        x = simulate_egarch(params, zz, sim)
+        process = egarch(params, burn_in, rho=rho, innovation_kind="ar1")
+        x = simulate_path(process, total - burn_in, make_rng(seed))
+        # one start-up step (q = 1) before the burn-in
+        zz = ar1_reference(seed, rho, total + 1)
         b1, init = params.beta[0], params.stationary_log_variance
         f = params.theta * zz + params.lam * (np.abs(zz) - GAUSSIAN_MEAN_ABS)
         drive = params.alpha0 + params.alpha[0] * f[:-1]
@@ -94,27 +103,27 @@ def test_recursions_equal_scipy_lfilter():
 
 
 def test_ar1_requires_stationarity():
-    with pytest.raises(StationarityError):
-        InnovationModel(kind="ar1", rho=1.0)
+    with pytest.raises(StationarityError,
+                       match=re.escape("AR(1) requires |rho| < 1, got 1.0")):
+        ProcessConfig(kind="ar1", rho=1.0)
 
 
 def test_egarch_degenerates_to_constant_volatility():
     # alpha_1 = 0, beta_1 = 0: log sigma^2 == alpha0 exactly
     params = EgarchParams(alpha0=0.4, alpha=(0.0,), beta=(0.0,),
                           theta=0.9, lam=0.1)
-    z = simulate_innovations(InnovationModel(), 2000, make_rng(3))
-    x = simulate_egarch(params, z, SimConfig(n=1000, burn_in=500))
+    x = simulate_path(egarch(params), 1000, make_rng(3))
+    z = make_rng(3).standard_normal(1501)
     np.testing.assert_allclose(x, exp(0.2) * z[501:1501], atol=1e-14)
 
 
 def test_egarch_matches_naive_recursion():
     params = EgarchParams(alpha0=0.1, alpha=(0.2,), beta=(0.05,),
                           theta=0.9, lam=0.1)
-    z = simulate_innovations(InnovationModel(), 60, make_rng(4))
-    sim = SimConfig(n=50, burn_in=9)
-    x = simulate_egarch(params, z, sim)
+    x = simulate_path(egarch(params, burn_in=9), 50, make_rng(4))
     # reference: explicit loop
     total = 60
+    z = make_rng(4).standard_normal(total)
     f = params.theta * z + params.lam * (np.abs(z) - GAUSSIAN_MEAN_ABS)
     logv = np.empty(total)
     logv[0] = params.alpha0 / (1.0 - 0.05)
@@ -127,11 +136,11 @@ def test_egarch_matches_naive_recursion():
 def test_egarch_higher_order_loop_path():
     params = EgarchParams(alpha0=0.0, alpha=(0.1, 0.05), beta=(0.2, 0.1),
                           theta=0.5, lam=0.3)
-    z = simulate_innovations(InnovationModel(), 300, make_rng(5))
-    x = simulate_egarch(params, z, SimConfig(n=100, burn_in=100))
+    x = simulate_path(egarch(params, burn_in=100), 100, make_rng(5))
     assert x.shape == (100,)
     assert np.all(np.isfinite(x))
     # the recursion sums drive, then beta_1 term, then beta_2 term
+    z = make_rng(5).standard_normal(202)
     f = params.theta * z + params.lam * (np.abs(z) - GAUSSIAN_MEAN_ABS)
     logv = np.zeros(202)
     for t in range(2, 202):
@@ -140,37 +149,36 @@ def test_egarch_higher_order_loop_path():
         acc += 0.2 * logv[t - 1]
         acc += 0.1 * logv[t - 2]
         logv[t] = acc
-    assert x.tolist() == (np.exp(0.5 * logv) * z[:202])[102:].tolist()
+    assert x.tolist() == (np.exp(0.5 * logv) * z)[102:].tolist()
 
 
-def test_egarch_stationarity_and_length_checks():
-    bad = EgarchParams(alpha0=0.0, alpha=(0.2,), beta=(1.0,),
-                       theta=0.9, lam=0.1)
-    z = np.zeros(2000)
-    with pytest.raises(StationarityError):
-        simulate_egarch(bad, z, SimConfig(n=100))
-    ok = EgarchParams(alpha0=0.0, alpha=(0.2,), beta=(0.05,),
-                      theta=0.9, lam=0.1)
-    with pytest.raises(InsufficientDataError):
-        simulate_egarch(ok, np.zeros(10), SimConfig(n=100, burn_in=500))
+def test_egarch_stationarity_is_checked_when_built():
+    for beta, shown in (((1.0,), "1.0"), ((0.7, 0.8), "1.5"),
+                        ((-1.5,), "1.5")):
+        with pytest.raises(StationarityError, match=re.escape(
+                f"|sum(beta)| = {shown} >= 1")):
+            EgarchParams(alpha0=0.0, alpha=(0.2,), beta=beta,
+                         theta=0.9, lam=0.1)
 
 
 def test_garch11_degenerates_to_iid():
-    z = simulate_innovations(InnovationModel(), 1500, make_rng(6))
-    x = simulate_garch11(2.0, 0.0, 0.0, z, SimConfig(n=1000, burn_in=500))
+    x = simulate_path(ProcessConfig(kind="garch11", garch=(2.0, 0.0, 0.0)),
+                      1000, make_rng(6))
+    z = make_rng(6).standard_normal(1500)
     np.testing.assert_allclose(x, sqrt(2.0) * z[500:], atol=1e-14)
 
 
 def test_garch11_stationary_variance():
-    z = simulate_innovations(InnovationModel(), 200_500, make_rng(7))
-    x = simulate_garch11(0.5, 0.1, 0.4, z, SimConfig(n=200_000, burn_in=500))
+    process = ProcessConfig(kind="garch11", garch=(0.5, 0.1, 0.4))
+    x = simulate_path(process, 200_000, make_rng(7))
     assert np.var(x) == pytest.approx(0.5 / (1 - 0.1 - 0.4), rel=0.1)
 
 
 def test_garch11_parameter_validation():
-    z = np.zeros(100)
-    with pytest.raises(StationarityError):
-        simulate_garch11(0.5, 0.6, 0.5, z, SimConfig(n=10, burn_in=0))
-    with pytest.raises(ValueError):
-        simulate_garch11(0.0, 0.1, 0.1, z, SimConfig(n=10, burn_in=0))
-
+    with pytest.raises(StationarityError,
+                       match=re.escape("alpha1 + beta1 = 1.1 >= 1")):
+        ProcessConfig(kind="garch11", garch=(0.5, 0.6, 0.5))
+    for garch in ((0.0, 0.1, 0.1), (0.5, -0.1, 0.1), (0.5, 0.1, -0.1)):
+        with pytest.raises(ValueError, match=re.escape(
+                "need alpha0 > 0, alpha1 >= 0, beta1 >= 0")):
+            ProcessConfig(kind="garch11", garch=garch)
