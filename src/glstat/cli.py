@@ -96,8 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_lrv_flags(sp):
         sp.add_argument("--bandwidth", default="auto",
                         help="'auto' or a positive number")
-        sp.add_argument("--normalization", default="combinatorial",
-                        choices=["combinatorial", "paper_literal"])
         sp.add_argument("--density-c", type=float, default=0.5)
 
     sp = sub.add_parser("lrv", help="long-run variance estimate")
@@ -144,15 +142,13 @@ def _make_lrv_config(args) -> LrvConfig:
     policy = (BandwidthPolicy() if args.bandwidth == "auto" else
               BandwidthPolicy(kind="fixed", b=float(args.bandwidth)))
     return LrvConfig(bandwidth=policy,
-                     density_halfwidth_c=args.density_c,
-                     normalization=args.normalization)
+                     density_halfwidth_c=args.density_c)
 
 
 def _echo_defaults(args) -> None:
     print(f"# estimator={getattr(args, 'estimator', None)} "
           f"m={getattr(args, 'm', None)} alpha={getattr(args, 'alpha', None)} "
           f"bandwidth={getattr(args, 'bandwidth', None)} "
-          f"normalization={getattr(args, 'normalization', None)} "
           f"density_c={getattr(args, 'density_c', None)} "
           f"burn_in={getattr(args, 'burn_in', None)}",
           file=sys.stderr)

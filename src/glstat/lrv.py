@@ -38,7 +38,6 @@ from .kernels import KernelSpec, eval_kernel_rows  # noqa: F401
 from .ustat import (
     MinPairwiseCounts,
     UDistribution,
-    _g1_denominators,
     as_sample,
     g1_hat_all,
     kernel_values,
@@ -105,11 +104,8 @@ class LrvConfig:
 
     bandwidth: BandwidthPolicy = field(default_factory=BandwidthPolicy)
     density_halfwidth_c: float = 0.5
-    normalization: str = "combinatorial"
 
     def __post_init__(self):
-        if self.normalization not in ("combinatorial", "paper_literal"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         _check_positive("density half-width c", self.density_halfwidth_c)
 
 
@@ -134,7 +130,7 @@ def lrv_ustat(sample, kernel: KernelSpec,
     is positive semidefinite, so it is >= 0 up to rounding."""
     cfg = cfg or LrvConfig()
     x = as_sample(sample)
-    g1 = g1_hat_all(x, kernel, normalization=cfg.normalization)
+    g1 = g1_hat_all(x, kernel)
     b = cfg.bandwidth.resolve(x.size)
     return _weighted_autocov(g1, b)
 
@@ -271,22 +267,21 @@ def build_plugin(sample, spec: GLSpec,
 
 def a1_hat_all(sample, spec: GLSpec,
                plugin: Optional[PluginContext] = None,
-               normalization: str = "combinatorial",
                at=None) -> np.ndarray:
     """Ahat_1, the empirical first Hoeffding projection of A o h, at the
-    points ``at`` (default: every sample point), with the normalization
-    modes of glstat.ustat.g1_hat_all.  ``plugin`` defaults to
+    points ``at`` (default: every sample point), with the subset-count
+    denominators of glstat.ustat.g1_hat_all.  ``plugin`` defaults to
     ``build_plugin(sample, spec)``; pass one built with an LrvConfig for
     another density half-width."""
     if plugin is None:
         plugin = build_plugin(sample, spec)
     x = as_sample(sample)
     n, m = x.size, spec.kernel.m
-    d1, d2 = _g1_denominators(n, m, normalization)
+    d1, d2 = float(comb(n, m - 1)), float(comb(n, m))
     pts = x if at is None else as_sample(at)
     if plugin.u_n is not None:
-        # A = c (h - U_n), so the outer sum vanishes in either
-        # normalization: Ahat_1 = c (S - C(n, m-1) U_n) / d1
+        # A = c (h - U_n), so the outer sum vanishes:
+        # Ahat_1 = c (S - C(n, m-1) U_n) / d1
         return spec.linear_constant * (tail_sums(x, spec.kernel, None, pts)
                                        - comb(n, m - 1) * plugin.u_n) / d1
     H = plugin.kvs
@@ -330,7 +325,7 @@ def lrv_gl(sample, spec: GLSpec, cfg: Optional[LrvConfig] = None,
     x = as_sample(sample)
     if plugin is None:
         plugin = build_plugin(x, spec, cfg)
-    a1 = a1_hat_all(x, spec, plugin=plugin, normalization=cfg.normalization)
+    a1 = a1_hat_all(x, spec, plugin=plugin)
     b = cfg.bandwidth.resolve(x.size)
     raw = _weighted_autocov(a1, b)
     clamped = raw < 0.0

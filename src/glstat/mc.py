@@ -106,8 +106,9 @@ class ProcessConfig:
                 raise ValueError("need alpha0 > 0, alpha1 >= 0, beta1 >= 0")
             if a1 + b1 >= 1.0:
                 raise StationarityError(f"alpha1 + beta1 = {a1 + b1} >= 1")
-        if self.kind == "egarch" and self.egarch is None:
-            raise ValueError("process kind 'egarch' needs an egarch block")
+        if self.kind == "egarch" and not isinstance(self.egarch, EgarchParams):
+            raise ValueError(f"process kind 'egarch' needs an egarch block "
+                             f"(EgarchParams), got {self.egarch!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -203,6 +204,11 @@ def _lrv_from_dict(d: dict) -> LrvConfig:
         raise ValueError(
             f"the lag window is bartlett only, got {d['weight']!r}"
         )
+    # older configs carry the key: another value must not run as this one
+    norm = d.get("normalization", "combinatorial")
+    if norm != "combinatorial":
+        raise ValueError(f"the projection normalization is combinatorial "
+                         f"only, got {norm!r}")
     bw = d.get("bandwidth", {})
     _require_keys(bw, "bandwidth block", ())
     return LrvConfig(**{**_fields_in(LrvConfig, d), "bandwidth":
@@ -252,8 +258,9 @@ class ExperimentConfig:
                  estimators=list(d["estimators"]),
                  sample_sizes=list(self.sample_sizes))
         lrv = d.pop("lrv")
-        if lrv is not None:  # the lag window is always bartlett
-            d["lrv"] = {"weight": "bartlett", **lrv}
+        if lrv is not None:  # the lag window and normalization are fixed
+            d["lrv"] = {"weight": "bartlett",
+                        "normalization": "combinatorial", **lrv}
         return d
 
     @staticmethod

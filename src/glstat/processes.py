@@ -83,15 +83,20 @@ class EgarchParams:
     mean_abs_z: float = GAUSSIAN_MEAN_ABS
 
     def __post_init__(self):
-        if len(self.alpha) < 1 or len(self.beta) < 1:
-            raise ValueError("EGARCH needs p >= 1 and q >= 1")
-        # a string would reach the recursion and fail inside numpy
+        # a bare number would fail in len(), a string would reach the
+        # recursion and fail inside numpy
         for f in fields(self):
             v = getattr(self, f.name)
-            for a in v if f.name in ("alpha", "beta") else (v,):
+            lags = f.name in ("alpha", "beta")
+            if lags and not isinstance(v, (tuple, list)):
+                raise ValueError(f"EGARCH {f.name} must be a list of real "
+                                 f"numbers, got {v!r}")
+            for a in v if lags else (v,):
                 if not is_number(a):
                     raise ValueError(f"EGARCH {f.name} must be a real "
                                      f"number, got {a!r}")
+        if len(self.alpha) < 1 or len(self.beta) < 1:
+            raise ValueError("EGARCH needs p >= 1 and q >= 1")
         if not abs(self.beta_sum) < 1.0:
             raise StationarityError(
                 f"|sum(beta)| = {abs(self.beta_sum)} >= 1"

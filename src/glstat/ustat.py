@@ -588,14 +588,6 @@ def u_quantile(sample, kernel: KernelSpec, p: float,
 
 # --- empirical first Hoeffding projection ---------------------------------
 
-def _g1_denominators(n: int, m: int, normalization: str) -> Tuple[float, float]:
-    if normalization == "combinatorial":
-        return float(comb(n, m - 1)) if m > 1 else 1.0, float(comb(n, m))
-    if normalization == "paper_literal":
-        return float(n ** (m - 1)), float(n ** m)
-    raise ValueError(f"unknown normalization {normalization!r}")
-
-
 # rows (point, tail...) evaluated per chunk of tail_sums' enumeration
 _PROJECT_ROWS = 1 << 16
 
@@ -630,17 +622,15 @@ def tail_sums(x: np.ndarray, kernel: KernelSpec,
     return s1
 
 
-def g1_hat_all(sample, kernel: KernelSpec,
-               normalization: str = "combinatorial", at=None) -> np.ndarray:
+def g1_hat_all(sample, kernel: KernelSpec, at=None) -> np.ndarray:
     """ghat_1, the empirical first Hoeffding projection of h, at the
     points ``at`` (default: every sample point).
 
     g_1(x) = (1/d1) sum over i_1<...<i_{m-1} of h(x, X_{i_1..i_{m-1}})
            - (1/d2) sum over i_1<...<i_m of h(X_{i_1..i_m})
 
-    ``combinatorial`` divides by the true subset counts C(n, m-1) and
-    C(n, m); ``paper_literal`` divides by n^{m-1} and n^m.  The inner
-    sums run over the full sample and do not exclude any index whose
+    with d1 = C(n, m-1) and d2 = C(n, m), the true subset counts.  The
+    inner sums run over the full sample and do not exclude any index whose
     value equals x.  The inner sums come from tail_sums and the outer
     sum is C(n, m) U_n, so a kernel with a closed form enumerates no
     kernel value.  For the closed-form min-pairwise kernels (m <= 3) at
@@ -652,7 +642,7 @@ def g1_hat_all(sample, kernel: KernelSpec,
     x = as_sample(sample)
     n, m = x.size, kernel.m
     _require_n(x, m)
-    d1, d2 = _g1_denominators(n, m, normalization)
+    d1, d2 = float(comb(n, m - 1)), float(comb(n, m))
     pts = x if at is None else as_sample(at)
     if at is None and m <= 3 and kernel is MIN_PAIRWISE.get(m):
         tails = tail_sums(x, kernel, None, pts)

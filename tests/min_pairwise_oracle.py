@@ -66,7 +66,7 @@ class Triples:
 
 def q_interval(x, alpha=0.5, level=0.95, dens_c=0.5):
     """(Q, sigma2, (lo, hi)) of the m = 3 Q interval with the CLI's
-    defaults: floor-bracket Q, ceil-convention IQR, combinatorial
+    defaults: floor-bracket Q, ceil-convention IQR, subset-count
     normalization, Bartlett weights at b = floor(n^(1/3))."""
     H = Triples(x)
     n, N = H.n, H.N

@@ -58,15 +58,13 @@ def oracle_u(sample, kernel):
     return sum(vals) / len(vals)
 
 
-def oracle_g1(sample, kernel, x, normalization):
+def oracle_g1(sample, kernel, x):
     xs = np.asarray(sample, float)
     n, m = xs.size, kernel.m
     s1 = sum(eval_kernel(kernel, [x] + list(c))
              for c in itertools.combinations(xs, m - 1))
     s2 = sum(eval_kernel(kernel, list(c))
              for c in itertools.combinations(xs, m))
-    if normalization == "paper_literal":
-        return s1 / n ** (m - 1) - s2 / n ** m
     return s1 / comb(n, m - 1) - s2 / comb(n, m)
 
 
@@ -100,7 +98,7 @@ def oracle_influence(v, w, J, discrete, n):
     return out
 
 
-def oracle_a1(sample, kernel, J, discrete, x, normalization):
+def oracle_a1(sample, kernel, J, discrete, x):
     xs = np.asarray(sample, float)
     n, m = xs.size, kernel.m
     w = oracle_kernel_values(xs, kernel)
@@ -110,8 +108,6 @@ def oracle_a1(sample, kernel, J, discrete, x, normalization):
 
     s1 = sum(A([x] + list(c)) for c in itertools.combinations(xs, m - 1))
     s2 = sum(A(list(c)) for c in itertools.combinations(xs, m))
-    if normalization == "paper_literal":
-        return s1 / n ** (m - 1) - s2 / n ** m
     return s1 / comb(n, m - 1) - s2 / comb(n, m)
 
 
@@ -143,15 +139,13 @@ def test_hoeffding_projections_match_enumeration_oracle():
     for kernel, J, discrete, spec in cases:
         for n in (kernel.m + 1, 9, 12):
             x = rng.standard_normal(n)
-            for norm_mode in ("combinatorial", "paper_literal"):
-                g1 = g1_hat_all(x, kernel, normalization=norm_mode)
-                a1 = a1_hat_all(x, spec, normalization=norm_mode)
-                for i in (0, n // 2, n - 1):
-                    worst_g1 = max(worst_g1, abs(
-                        g1[i] - oracle_g1(x, kernel, x[i], norm_mode)))
-                    worst_a1 = max(worst_a1, abs(
-                        a1[i] - oracle_a1(x, kernel, J, discrete, x[i],
-                                          norm_mode)))
+            g1 = g1_hat_all(x, kernel)
+            a1 = a1_hat_all(x, spec)
+            for i in (0, n // 2, n - 1):
+                worst_g1 = max(worst_g1, abs(
+                    g1[i] - oracle_g1(x, kernel, x[i])))
+                worst_a1 = max(worst_a1, abs(
+                    a1[i] - oracle_a1(x, kernel, J, discrete, x[i])))
     elapsed = time.perf_counter() - t0
     verdict("empirical projections vs enumeration oracle, n <= 12",
             worst_g1 <= 1e-12 and worst_a1 <= 1e-12 and elapsed < 10.0,

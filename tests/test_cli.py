@@ -435,7 +435,7 @@ def test_simulate_verbose_echoes_the_burn_in_it_reads(capsys):
                         "--seed", "1", "--verbose"]) == 0
         assert capsys.readouterr().err == (
             "# estimator=None m=None alpha=None bandwidth=None "
-            f"normalization=None density_c=None burn_in={burn_in}\n")
+            f"density_c=None burn_in={burn_in}\n")
 
 
 @pytest.mark.parametrize("model", ["iid", "ar1", "egarch"])
@@ -645,6 +645,17 @@ def test_exit_code_1_on_domain_error(tmp_path, three_csv, capsys):
                         "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {err}\n"
         assert not out.exists()
+    # an older config may name the one projection normalization; another
+    # value must fail, not run this estimator under its name
+    cfg["lrv"] = {"weight": "bartlett", "normalization": "paper_literal"}
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "paper_literal"
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: the projection normalization "
+                                       "is combinatorial only, got "
+                                       "'paper_literal'\n")
+    assert not out.exists()
 
 
 def _egarch_with(**params):
@@ -768,4 +779,9 @@ def test_exit_code_2_on_usage_error(three_csv):
     with pytest.raises(SystemExit) as exc:
         run_cli(["lrv", "--estimator", "gini", "--input", three_csv,
                  "--kernel-weight", "bartlett"])
+    assert exc.value.code == 2
+    # nor is the projection normalization, which has one value
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ci", "--estimator", "gini", "--input", three_csv,
+                 "--normalization", "paper_literal"])
     assert exc.value.code == 2

@@ -35,9 +35,6 @@ from glstat import (
 from glstat.kernels import GINI_ABS_DIFF
 from glstat.ustat import tail_sums
 
-NORMS = ("combinatorial", "paper_literal")
-
-
 def enumerating_min_pairwise(m):
     return custom_kernel(
         "min_pairwise", m, lambda a: float(np.min(np.diff(np.sort(a)))),
@@ -118,14 +115,12 @@ def test_closed_forms_match_enumeration(raw, case, shape, at, seed):
         close(tail_sums(x, fast, None, pts), slow_at, floor * x.size)
         u = u_statistic(x, fast)
         close(u, slow_u, floor)
-    for norm in NORMS:
-        cfg = LrvConfig(normalization=norm)
-        slow_g1 = g1_hat_all(x, enum, normalization=norm)
-        slow_lrv = lrv_ustat(x, enum, cfg)
-        with no_enumeration():
-            close_centred(g1_hat_all(x, fast, normalization=norm),
-                          slow_g1, floor)
-            close(lrv_ustat(x, fast, cfg), slow_lrv, floor ** 2)
+    cfg = LrvConfig()
+    slow_g1 = g1_hat_all(x, enum)
+    slow_lrv = lrv_ustat(x, enum, cfg)
+    with no_enumeration():
+        close_centred(g1_hat_all(x, fast), slow_g1, floor)
+        close(lrv_ustat(x, fast, cfg), slow_lrv, floor ** 2)
 
     # permutation: U_n stays, the tail sums and projections follow their
     # points
@@ -134,10 +129,8 @@ def test_closed_forms_match_enumeration(raw, case, shape, at, seed):
         close(u_statistic(x[perm], fast), u, floor)
         close(tail_sums(x[perm], fast, None, x[perm]), s[perm],
               floor * x.size)
-        for norm in NORMS:
-            close_centred(g1_hat_all(x[perm], fast, normalization=norm),
-                          g1_hat_all(x, fast, normalization=norm)[perm],
-                          floor)
+        close_centred(g1_hat_all(x[perm], fast), g1_hat_all(x, fast)[perm],
+                      floor)
 
 
 def unsorted_search_tails(x, kernel, pts):

@@ -38,7 +38,6 @@ from glstat.kernels import GINI_ABS_DIFF
 
 ENUM_ABS_DIFF = custom_kernel("abs_diff", 2, lambda a: abs(a[0] - a[1]),
                               eval_rows=lambda r: np.abs(r[:, 0] - r[:, 1]))
-NORMS = ("combinatorial", "paper_literal")
 
 
 def close(fast, slow, floor):
@@ -77,24 +76,20 @@ def test_gini_closed_forms_match_enumeration(raw, shape, c, seed):
     u = u_statistic(x, GINI_ABS_DIFF)
     close(u, u_statistic(x, ENUM_ABS_DIFF), floor)
     close(gl_statistic(x, fast_spec), gl_statistic(x, enum_spec), floor)
-    for norm in NORMS:
-        cfg = LrvConfig(normalization=norm)
-        close_centred(g1_hat_all(x, GINI_ABS_DIFF, normalization=norm),
-                      g1_hat_all(x, ENUM_ABS_DIFF, normalization=norm), floor)
-        close_centred(a1_hat_all(x, fast_spec, normalization=norm),
-                      a1_hat_all(x, enum_spec, normalization=norm), floor)
-        close(lrv_gl(x, fast_spec, cfg).sigma2_raw,
-              lrv_gl(x, enum_spec, cfg).sigma2_raw, floor ** 2)
-        close(gl_confidence_interval(x, fast_spec, cfg),
-              gl_confidence_interval(x, enum_spec, cfg), floor)
+    cfg = LrvConfig()
+    close_centred(g1_hat_all(x, GINI_ABS_DIFF), g1_hat_all(x, ENUM_ABS_DIFF),
+                  floor)
+    close_centred(a1_hat_all(x, fast_spec), a1_hat_all(x, enum_spec), floor)
+    close(lrv_gl(x, fast_spec, cfg).sigma2_raw,
+          lrv_gl(x, enum_spec, cfg).sigma2_raw, floor ** 2)
+    close(gl_confidence_interval(x, fast_spec, cfg),
+          gl_confidence_interval(x, enum_spec, cfg), floor)
 
     # permutation: U_n stays, the projections follow their points
     perm = np.random.default_rng(seed).permutation(x.size)
     close(u_statistic(x[perm], GINI_ABS_DIFF), u, floor)
-    for norm in NORMS:
-        close_centred(g1_hat_all(x[perm], GINI_ABS_DIFF, normalization=norm),
-                      g1_hat_all(x, GINI_ABS_DIFF, normalization=norm)[perm],
-                      floor)
+    close_centred(g1_hat_all(x[perm], GINI_ABS_DIFF),
+                  g1_hat_all(x, GINI_ABS_DIFF)[perm], floor)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -158,17 +158,14 @@ def test_constant_j_with_discrete_term_matches_direct_sums():
             def A(v):
                 return c * (v - w.mean()) + a * (p - (v <= xi)) / dens
             total = A(w).sum()
-            for norm_name, d1, d2 in (("combinatorial", n, N),
-                                      ("paper_literal", n, n * n)):
-                want = A(h).sum(axis=1) / d1 - total / d2
-                for kernel in (GINI, enum_gini):
-                    spec = GLSpec(kernel=kernel,
-                                  weight=WeightFunctionJ.constant(c),
-                                  discrete=((a, p),))
-                    got = a1_hat_all(x, spec, normalization=norm_name)
-                    np.testing.assert_allclose(
-                        got, want, rtol=0,
-                        atol=1e-12 * np.max(np.abs(want)))
+            want = A(h).sum(axis=1) / n - total / N
+            for kernel in (GINI, enum_gini):
+                spec = GLSpec(kernel=kernel,
+                              weight=WeightFunctionJ.constant(c),
+                              discrete=((a, p),))
+                got = a1_hat_all(x, spec)
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_a1_hat_pointwise_matches_vectorized():

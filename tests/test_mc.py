@@ -303,10 +303,14 @@ def test_simulate_path_kinds():
     # an unknown kind fails when the process is built, not simulated
     with pytest.raises(ValueError, match="unknown process kind 'nope'"):
         ProcessConfig(kind="nope")
-    # and so does a kind without the parameters simulate_path reads
+    # and so does a kind without the parameters simulate_path reads; an
+    # egarch dict from Python is not EgarchParams
     for bad in ({"kind": "garch11"}, {"kind": "garch11", "garch": (1, 2)},
                 {"kind": "garch11", "garch": (0.5, "0.1", 0.4)},
-                {"kind": "egarch", "rho": 0.8}):
+                {"kind": "egarch", "rho": 0.8},
+                {"kind": "egarch", "egarch": {"alpha0": 0.0}},
+                {"kind": "egarch",
+                 "egarch": egarch_scenario(1).to_dict()["egarch"]}):
         with pytest.raises(ValueError, match=f"'{bad['kind']}' needs"):
             ProcessConfig(**bad)
     # n is checked for every kind before anything is drawn
@@ -449,6 +453,21 @@ def test_config_with_output_dir_key_loads(tmp_path):
                   d["lrv"]["bandwidth"]):
         block["note"] = 1
     assert ExperimentConfig.from_dict(d) == cfg
+
+
+def test_lrv_block_normalization_key():
+    # configs written while the projection had two normalizations carry
+    # the key; its one remaining value loads, any other fails
+    d = small_config(lrv=LrvConfig()).to_dict()
+    assert d["lrv"]["normalization"] == "combinatorial"
+    for lrv in ({"weight": "bartlett", "normalization": "combinatorial"},
+                d["lrv"]):
+        assert ExperimentConfig.from_dict(dict(d, lrv=lrv)).lrv == LrvConfig()
+    for norm in ("paper_literal", None, "Combinatorial"):
+        with pytest.raises(ValueError, match="normalization is combinatorial "
+                           "only"):
+            ExperimentConfig.from_dict(
+                dict(d, lrv={"weight": "bartlett", "normalization": norm}))
 
 
 def test_run_experiment_small():

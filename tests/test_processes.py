@@ -46,6 +46,15 @@ def test_egarch_parameters_must_be_real_numbers():
         with pytest.raises(ValueError, match=f"EGARCH {key} must be a real "
                            f"number, got {re.escape(shown)}"):
             EgarchParams(**dict(good, **{key: value}))
+    # and the lags are lists, not a bare number or a string of digits
+    for key, value, shown in (("alpha", 0.2, "0.2"), ("beta", 0.05, "0.05"),
+                              ("beta", "0.05", "'0.05'"),
+                              ("alpha", None, "None")):
+        with pytest.raises(ValueError, match=f"EGARCH {key} must be a list "
+                           f"of real numbers, got {re.escape(shown)}"):
+            EgarchParams(**dict(good, **{key: value}))
+    assert EgarchParams(**dict(good, alpha=[0.2], beta=[0.05])).beta_sum \
+        == 0.05
 
 
 def test_iid_innovations_moments():

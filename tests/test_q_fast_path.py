@@ -42,7 +42,6 @@ ENUM = {m: custom_kernel(
     "min_pairwise", m, lambda a: float(np.min(np.diff(np.sort(a)))),
     eval_rows=lambda r: np.min(np.diff(np.sort(r, axis=1), axis=1), axis=1))
     for m in (2, 3, 4)}
-NORMS = ("combinatorial", "paper_literal")
 
 
 def close(fast, slow, floor=0.0):
@@ -114,26 +113,21 @@ def test_counted_route_matches_enumeration(raw, m, shape, alpha, t, seed):
     assert fast.quantiles == enum.quantiles
     close(fast.densities, enum.densities)
     floor = 1e-12 / fast.densities[0]
-    for norm in NORMS:
-        cfg = LrvConfig(normalization=norm)
-        close_centred(a1_hat_all(x, fast_spec, normalization=norm),
-                      a1_hat_all(x, enum_spec, normalization=norm), floor)
-        # at a point that need not be in the sample
-        close_centred(a1_hat_all(x, fast_spec, normalization=norm, at=[t])[0],
-                      a1_hat_all(x, enum_spec, normalization=norm, at=[t])[0],
-                      floor)
-        close(lrv_gl(x, fast_spec, cfg).sigma2_raw,
-              lrv_gl(x, enum_spec, cfg).sigma2_raw, floor ** 2)
-        close(gl_confidence_interval(x, fast_spec, cfg),
-              gl_confidence_interval(x, enum_spec, cfg), floor)
+    cfg = LrvConfig()
+    close_centred(a1_hat_all(x, fast_spec), a1_hat_all(x, enum_spec), floor)
+    # at a point that need not be in the sample
+    close_centred(a1_hat_all(x, fast_spec, at=[t])[0],
+                  a1_hat_all(x, enum_spec, at=[t])[0], floor)
+    close(lrv_gl(x, fast_spec, cfg).sigma2_raw,
+          lrv_gl(x, enum_spec, cfg).sigma2_raw, floor ** 2)
+    close(gl_confidence_interval(x, fast_spec, cfg),
+          gl_confidence_interval(x, enum_spec, cfg), floor)
 
     # permutation: Q stays, the projections follow their points
     perm = np.random.default_rng(seed).permutation(x.size)
     assert estimator_q(x[perm], m, alpha) == estimator_q(x, m, alpha)
-    for norm in NORMS:
-        close_centred(a1_hat_all(x[perm], fast_spec, normalization=norm),
-                      a1_hat_all(x, fast_spec, normalization=norm)[perm],
-                      floor)
+    close_centred(a1_hat_all(x[perm], fast_spec),
+                  a1_hat_all(x, fast_spec)[perm], floor)
 
 
 def gaps_and_neighbours(xs):

@@ -115,15 +115,12 @@ def test_g1_hat_examples():
         -1.0 / 3.0, abs=1e-15)
 
 
-def brute_g1(sample, m, f, x, normalization):
-    # projection of f (a function of an m-list); same subset sums either
-    # way, only the divisors differ
+def brute_g1(sample, m, f, x):
+    # projection of f (a function of an m-list)
     xs = np.asarray(sample, dtype=float)
     n = xs.size
     inner = sum(f([x] + list(c)) for c in itertools.combinations(xs, m - 1))
     total = sum(f(list(c)) for c in itertools.combinations(xs, m))
-    if normalization == "paper_literal":
-        return inner / n ** (m - 1) - total / n ** m
     return inner / comb(n, m - 1) - total / comb(n, m)
 
 
@@ -132,19 +129,17 @@ def test_g1_hat_matches_brute_force_small(monkeypatch):
     monkeypatch.setattr(ustat, "_PROJECT_ROWS", 20)
     rng = np.random.default_rng(13)
     ties = np.array([0.5, -1.0, 0.5, 2.0, -1.0, 0.5, 3.0])
-    norms = ("combinatorial", "paper_literal")
     # per dimension m: random, tied, and n = m (a single kernel value)
     inputs = {m: (rng.standard_normal(7), ties, rng.standard_normal(m))
               for m in (1, 2, 3)}
     for kernel in (IDENTITY, GINI, MINP3):
         h = partial(eval_kernel, kernel)
         for x in inputs[kernel.m]:
-            for norm in norms:
-                fast = g1_hat_all(x, kernel, normalization=norm)
-                slow = [brute_g1(x, kernel.m, h, v, norm) for v in x]
-                np.testing.assert_allclose(fast, slow, atol=1e-13)
+            fast = g1_hat_all(x, kernel)
+            slow = [brute_g1(x, kernel.m, h, v) for v in x]
+            np.testing.assert_allclose(fast, slow, atol=1e-13)
     # the influence kernel of the m = 2 specs and of a linear m = 3 spec
-    # (J == 2, whose two normalizations differ) on the same inputs; with a
+    # (J == 2) on the same inputs; with a
     # single kernel value Q has no density, so n = m is Gini's only
     linear3 = GLSpec(kernel=MINP3, weight=WeightFunctionJ.constant(2.0))
     for spec in (gini_gl_spec(), q_gl_spec(m=2), linear3):
@@ -157,10 +152,9 @@ def test_g1_hat_matches_brute_force_small(monkeypatch):
                 v = eval_kernel(spec.kernel, args)
                 return plugin.a_of_values(np.array([v]))[0]
 
-            for norm in norms:
-                fast = a1_hat_all(x, spec, plugin=plugin, normalization=norm)
-                slow = [brute_g1(x, spec.kernel.m, A, v, norm) for v in x]
-                np.testing.assert_allclose(fast, slow, atol=1e-13)
+            fast = a1_hat_all(x, spec, plugin=plugin)
+            slow = [brute_g1(x, spec.kernel.m, A, v) for v in x]
+            np.testing.assert_allclose(fast, slow, atol=1e-13)
 
 
 def test_g1_hat_all_consistent_with_pointwise():
