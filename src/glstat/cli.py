@@ -100,8 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lrv", help="long-run variance estimate")
     sp.set_defaults(run=_cmd_lrv)
-    sp.add_argument("--estimator", choices=GL_SPEC_NAMES)
-    sp.add_argument("--kernel", choices=BUILTIN_KERNEL_NAMES)
+    # one or the other: given both, a usage error, not one of them dropped
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("--estimator", choices=GL_SPEC_NAMES)
+    which.add_argument("--kernel", choices=BUILTIN_KERNEL_NAMES)
     sp.add_argument("--input", required=True)
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--alpha", type=float, default=0.5)

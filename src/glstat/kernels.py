@@ -25,16 +25,14 @@ BUILTIN_KERNEL_NAMES = ("gini_abs_diff", "min_pairwise", "range", "identity")
 class KernelSpec:
     """A symmetric kernel of dimension ``m``.
 
-    ``eval_one`` maps a length-m array to a float.  ``eval_rows``, when
-    present, maps an (N, m) array to a length-N array and must agree with
-    ``eval_one`` row by row; it exists purely as a fast path.
+    ``eval_rows``, the kernel's one evaluator, maps an (N, m) array to
+    the length-N array of the kernel's values at its rows.
     Instances are immutable and safe to share across threads.
     """
 
     name: str
     m: int
-    eval_one: Callable[[np.ndarray], float] = None
-    eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    eval_rows: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.m < 1:
@@ -42,7 +40,8 @@ class KernelSpec:
 
 
 def eval_kernel(kernel: KernelSpec, args) -> float:
-    """Evaluate ``kernel`` at an m-vector of finite reals.
+    """Evaluate ``kernel`` at an m-vector of finite reals, as a one-row
+    array.
 
     Raises ValueError on a dimension mismatch or non-finite input;
     NaN/inf are rejected here so downstream order statistics stay clean.
@@ -55,7 +54,7 @@ def eval_kernel(kernel: KernelSpec, args) -> float:
         )
     if not np.all(np.isfinite(a)):
         raise ValueError("kernel arguments must be finite")
-    return float(kernel.eval_one(a))
+    return float(kernel.eval_rows(a[np.newaxis])[0])
 
 
 def eval_kernel_rows(kernel: KernelSpec, rows: np.ndarray) -> np.ndarray:
@@ -63,9 +62,7 @@ def eval_kernel_rows(kernel: KernelSpec, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != kernel.m:
         raise ValueError(f"expected an (N, {kernel.m}) array, got {rows.shape}")
-    if kernel.eval_rows is not None:
-        return np.asarray(kernel.eval_rows(rows), dtype=float)
-    return np.array([kernel.eval_one(r) for r in rows], dtype=float)
+    return np.asarray(kernel.eval_rows(rows), dtype=float)
 
 
 def _min_pairwise_rows(rows: np.ndarray) -> np.ndarray:
@@ -79,7 +76,6 @@ def _min_pairwise_rows(rows: np.ndarray) -> np.ndarray:
 GINI_ABS_DIFF = KernelSpec(
     name="gini_abs_diff",
     m=2,
-    eval_one=lambda a: abs(a[0] - a[1]),
     eval_rows=lambda r: np.abs(r[:, 0] - r[:, 1]),
 )
 
@@ -87,6 +83,10 @@ GINI_ABS_DIFF = KernelSpec(
 # on first use
 MIN_PAIRWISE: Dict[int, KernelSpec] = {}
 RANGE: Dict[int, KernelSpec] = {}
+# the shared instances, row evaluator and default m of each kernel of
+# any dimension m >= 2
+_OF_DIMENSION = {"min_pairwise": (MIN_PAIRWISE, _min_pairwise_rows, 3),
+                 "range": (RANGE, lambda r: np.ptp(r, axis=1), 2)}
 
 
 def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> KernelSpec:
@@ -98,41 +98,22 @@ def builtin_kernel(name: str, params: Optional[Mapping[str, float]] = None) -> K
     ``min_pairwise`` the shared ``MIN_PAIRWISE[m]`` and ``range`` the
     shared ``RANGE[m]``.
     """
-    params = dict(params or {})
-    # not truncated with int(): m = 2.5 must fail, not run m = 2
-    m = params.get("m", 3 if name == "min_pairwise" else 2)
-    if name in ("min_pairwise", "range") and not is_number(m, integral=True):
-        raise ValueError(f"{name} requires an integer m, got {m!r}")
     if name == "gini_abs_diff":
         return GINI_ABS_DIFF
     if name == "identity":
-        return KernelSpec(
-            name=name,
-            m=1,
-            eval_one=lambda a: a[0],
-            eval_rows=lambda r: r[:, 0].copy(),
-        )
-    if name == "min_pairwise":
-        m = int(m)
-        if m < 2:
-            raise ValueError(f"min_pairwise requires m >= 2, got {m}")
-        return MIN_PAIRWISE.setdefault(m, KernelSpec(
-            name=name,
-            m=m,
-            eval_one=lambda a: float(np.min(np.diff(np.sort(a)))),
-            eval_rows=_min_pairwise_rows,
-        ))
-    if name == "range":
-        m = int(m)
-        if m < 2:
-            raise ValueError(f"range kernel requires m >= 2, got {m}")
-        return RANGE.setdefault(m, KernelSpec(
-            name=name,
-            m=m,
-            eval_one=lambda a: float(np.max(a) - np.min(a)),
-            eval_rows=lambda r: np.ptp(r, axis=1),
-        ))
-    raise ValueError(f"unknown kernel {name!r}; known: {BUILTIN_KERNEL_NAMES}")
+        return KernelSpec(name=name, m=1, eval_rows=lambda r: r[:, 0].copy())
+    if name not in _OF_DIMENSION:
+        raise ValueError(f"unknown kernel {name!r}; "
+                         f"known: {BUILTIN_KERNEL_NAMES}")
+    shared, rows, default_m = _OF_DIMENSION[name]
+    m = (params or {}).get("m", default_m)
+    # not truncated with int(): m = 2.5 must fail, not run m = 2
+    if not is_number(m, integral=True):
+        raise ValueError(f"{name} requires an integer m, got {m!r}")
+    if m < 2:
+        raise ValueError(f"{name} requires m >= 2, got {m}")
+    m = int(m)
+    return shared.setdefault(m, KernelSpec(name=name, m=m, eval_rows=rows))
 
 
 def custom_kernel(
@@ -143,7 +124,14 @@ def custom_kernel(
 ) -> KernelSpec:
     """Wrap a user-supplied symmetric function as a KernelSpec.
 
+    ``eval_one`` maps a length-m array to a float.  ``eval_rows``, when
+    given, maps an (N, m) array to a length-N array, must agree with
+    ``eval_one`` row by row, and becomes the kernel's evaluator as a
+    fast path; otherwise the evaluator applies ``eval_one`` to each row.
     Symmetry is the caller's obligation; the test suite spot-checks it
     for the built-ins only.
     """
-    return KernelSpec(name=name, m=m, eval_one=eval_one, eval_rows=eval_rows)
+    if eval_rows is None:
+        def eval_rows(rows: np.ndarray) -> np.ndarray:
+            return np.array([eval_one(r) for r in rows], dtype=float)
+    return KernelSpec(name=name, m=m, eval_rows=eval_rows)

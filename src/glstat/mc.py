@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from itertools import chain, combinations
 from math import ceil, floor, inf, sqrt
 from typing import Dict, List, Optional, Tuple
@@ -44,26 +44,29 @@ _Q_BRACKET_SD = 8  # half-width of q_subsampled's bracket, in binomial sd
 
 # --- configuration ---------------------------------------------------------
 
-def _require_keys(d, what: str, keys: Tuple[str, ...],
-                  lists: Tuple[str, ...] = ()) -> None:
-    """ValueError unless ``d`` is a dict that holds every one of ``keys``,
-    those among ``lists`` as JSON lists: a malformed config fails as a
-    domain error naming the key."""
+def _read(cls, d, what: str, lists: Tuple[str, ...] = (),
+          legacy: Tuple[str, ...] = ()) -> dict:
+    """The keyword arguments of the dataclass ``cls`` that the config
+    block ``d`` gives: ValueError unless ``d`` is a dict that holds every
+    field without a default, those among ``lists`` as JSON lists (read as
+    tuples), and no key that names no field other than those in
+    ``legacy``, so that a malformed or misspelled key fails as a domain
+    error naming it.  An absent field takes its default."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    for key in keys:
-        if key not in d:
-            raise ValueError(f"{what} has no {key!r}")
-        if key in lists and not isinstance(d[key], list):
-            raise ValueError(f"{what}'s {key!r} must be a JSON list, "
-                             f"got {d[key]!r}")
-
-
-def _fields_in(cls, d: dict) -> dict:
-    """The entries of ``d`` that name a field of the dataclass ``cls``:
-    an absent field takes its default, an unknown key is ignored."""
+    for f in fields(cls):
+        if f.name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{what} has no {f.name!r}")
+        elif f.name in lists and not isinstance(d[f.name], list):
+            raise ValueError(f"{what}'s {f.name!r} must be a JSON list, "
+                             f"got {d[f.name]!r}")
     names = {f.name for f in fields(cls)}
-    return {k: v for k, v in d.items() if k in names}
+    for key in d:
+        if key not in names and key not in legacy:
+            raise ValueError(f"unknown {what.split()[0]} option {key!r}")
+    return {k: tuple(v) if k in lists else v
+            for k, v in d.items() if k in names}
 
 
 @dataclass(frozen=True)
@@ -121,18 +124,11 @@ class ProcessConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ProcessConfig":
-        _require_keys(d, "process config", ("kind",))
-        kw = _fields_in(ProcessConfig, d)
-        eg = d.get("egarch")
-        if eg is not None:
-            _require_keys(eg, "egarch block",
-                          ("alpha0", "alpha", "beta", "theta", "lam"),
-                          lists=("alpha", "beta"))
-            kw["egarch"] = EgarchParams(**{**_fields_in(EgarchParams, eg),
-                                           "alpha": tuple(eg["alpha"]),
-                                           "beta": tuple(eg["beta"])})
-        if isinstance(d.get("garch"), list):
-            kw["garch"] = tuple(d["garch"])
+        kw = _read(ProcessConfig, d, "process config", lists=("garch",))
+        if "egarch" in kw:
+            kw["egarch"] = EgarchParams(**_read(
+                EgarchParams, kw["egarch"], "egarch block",
+                lists=("alpha", "beta")))
         return ProcessConfig(**kw)
 
 
@@ -190,16 +186,14 @@ class EstimatorConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "EstimatorConfig":
-        _require_keys(d, "estimator config", ("name",))
-        kw = _fields_in(EstimatorConfig, d)
-        for key in d:
-            if key not in kw:
-                raise ValueError(f"unknown estimator option {key!r}")
-        return EstimatorConfig(**kw)
+        return EstimatorConfig(**_read(EstimatorConfig, d,
+                                       "estimator config"))
 
 
 def _lrv_from_dict(d: dict) -> LrvConfig:
-    _require_keys(d, "lrv block", ("weight",))
+    kw = _read(LrvConfig, d, "lrv block", legacy=("weight", "normalization"))
+    if "weight" not in d:
+        raise ValueError("lrv block has no 'weight'")
     if d["weight"] != "bartlett":
         raise ValueError(
             f"the lag window is bartlett only, got {d['weight']!r}"
@@ -209,10 +203,10 @@ def _lrv_from_dict(d: dict) -> LrvConfig:
     if norm != "combinatorial":
         raise ValueError(f"the projection normalization is combinatorial "
                          f"only, got {norm!r}")
-    bw = d.get("bandwidth", {})
-    _require_keys(bw, "bandwidth block", ())
-    return LrvConfig(**{**_fields_in(LrvConfig, d), "bandwidth":
-                        BandwidthPolicy(**_fields_in(BandwidthPolicy, bw))})
+    if "bandwidth" in kw:
+        kw["bandwidth"] = BandwidthPolicy(**_read(
+            BandwidthPolicy, kw["bandwidth"], "bandwidth block"))
+    return LrvConfig(**kw)
 
 
 @dataclass(frozen=True)
@@ -265,16 +259,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        _require_keys(d, "experiment config",
-                      ("process", "estimators", "sample_sizes"),
-                      lists=("estimators", "sample_sizes"))
-        kw = _fields_in(ExperimentConfig, d)
-        kw.update(process=ProcessConfig.from_dict(d["process"]),
+        # configs written before output_dir was dropped carry the key
+        kw = _read(ExperimentConfig, d, "experiment config",
+                   lists=("estimators", "sample_sizes"),
+                   legacy=("output_dir",))
+        kw.update(process=ProcessConfig.from_dict(kw["process"]),
                   estimators=tuple(EstimatorConfig.from_dict(e)
-                                   for e in d["estimators"]),
-                  sample_sizes=tuple(d["sample_sizes"]))
-        if "lrv" in d:
-            kw["lrv"] = _lrv_from_dict(d["lrv"])
+                                   for e in kw["estimators"]))
+        if "lrv" in kw:
+            kw["lrv"] = _lrv_from_dict(kw["lrv"])
         return ExperimentConfig(**kw)
 
     def to_json(self) -> str:
@@ -590,11 +583,6 @@ def _run_cell(config: ExperimentConfig, est: EstimatorConfig, n: int,
         intervals.append(gl_confidence_interval(
             path, spec, config.lrv, level=config.ci_level, plugin=plugin))
     cell.estimates = estimates
-    sd = estimates.std(ddof=1)
-    if sd == 0.0:
-        raise DegenerateVarianceError(
-            "all replications produced the same estimate"
-        )
     cell.qq = qq_points(estimates)
     cell.summary = normality_summary(estimates, cell.qq)
     if spec is not None:
@@ -613,13 +601,13 @@ def write_report(report: ExperimentReport, out_dir) -> Dict[str, str]:
     """Write per-cell CSVs, summary.csv, the resolved config, and a
     manifest of file names to sha256 content hashes."""
     os.makedirs(out_dir, exist_ok=True)
-    files: List[str] = []
+    manifest: Dict[str, str] = {}
 
     def emit(name: str, text: str) -> None:
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        files.append(name)
+        data = text.encode("utf-8")
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(data)
+        manifest[name] = hashlib.sha256(data).hexdigest()
 
     summary_rows = ["estimator,n,mean,sd,skewness,excess_kurtosis,"
                     "qq_correlation,coverage,subsampled,error"]
@@ -632,23 +620,17 @@ def write_report(report: ExperimentReport, out_dir) -> Dict[str, str]:
             lines = ["theoretical,empirical"]
             lines += [f"{_fmt(a)},{_fmt(b)}" for a, b in cell.qq]
             emit(f"qq_{label}_{n}.csv", "\n".join(lines) + "\n")
-        s = cell.summary
+        # the summary's five fields, in column order, and the coverage
+        stats = (*(astuple(cell.summary) if cell.summary else (None,) * 5),
+                 cell.coverage)
         summary_rows.append(",".join([
-            label, str(n),
-            _fmt(s.mean) if s else "", _fmt(s.sd) if s else "",
-            _fmt(s.skewness) if s else "", _fmt(s.excess_kurtosis) if s else "",
-            _fmt(s.qq_correlation) if s else "",
-            _fmt(cell.coverage) if cell.coverage is not None else "",
+            label, str(n), *("" if v is None else _fmt(v) for v in stats),
             str(cell.subsampled).lower(),
             cell.error or "",
         ]))
     emit("summary.csv", "\n".join(summary_rows) + "\n")
     emit("config.json", report.config.to_json() + "\n")
 
-    manifest = {}
-    for name in sorted(files):
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            manifest[name] = hashlib.sha256(fh.read()).hexdigest()
     with open(os.path.join(out_dir, "manifest.json"), "w",
               encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

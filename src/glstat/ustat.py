@@ -707,8 +707,8 @@ def hoeffding_decompose_population(
         total = 0.0
         for tail in itertools.product(range(s), repeat=m - k):
             w = float(np.prod(probs[list(tail)])) if tail else 1.0
-            args = np.array(prefix + tuple(support[t] for t in tail))
-            total += w * float(kernel.eval_one(args))
+            row = np.array([prefix + tuple(support[t] for t in tail)])
+            total += w * float(kernel.eval_rows(row)[0])
         return total
 
     theta = cond_mean(())

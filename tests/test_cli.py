@@ -385,8 +385,15 @@ def test_simulate_rejects_options_its_route_does_not_read(tmp_path,
     half_burn = tmp_path / "half_burn.json"
     half_burn.write_text(json.dumps(dict(egarch_scenario(1).to_dict(),
                                          burn_in=500.5)))
+    rh0 = tmp_path / "rh0.json"
+    rh0.write_text(json.dumps({"kind": "ar1", "rh0": 0.5}))
     out = tmp_path / "sim.csv"
     for extra, err in (
+            # garch11 reads no flag: its parameters come from a config
+            (["--model", "garch11"], "model 'garch11' needs --config"),
+            # a misspelled key is not read as rho = 0
+            (["--model", "ar1", "--config", str(rh0)],
+             "unknown process option 'rh0'"),
             (["--model", "iid", "--rho", "0.9"],
              "--rho is not read with --model iid"),
             (["--model", "iid", "--burn-in", "-5"],
@@ -664,6 +671,52 @@ def _egarch_with(**params):
     return process
 
 
+def _misspelled(block, key):
+    """An EGARCH config with an lrv block and ``key`` added to ``block``."""
+    cfg = {"process": _egarch_with(), "estimators": [{"name": "gini"}],
+           "sample_sizes": [25], "replications": 8,
+           "lrv": {"weight": "bartlett", "bandwidth": {"kind": "auto"}}}
+    target = {"process": cfg["process"],
+              "egarch": cfg["process"]["egarch"],
+              "estimator": cfg["estimators"][0], "lrv": cfg["lrv"],
+              "bandwidth": cfg["lrv"]["bandwidth"], "experiment": cfg}[block]
+    target[key] = 0.5
+    return cfg
+
+
+@pytest.mark.parametrize("block, key", [
+    ("process", "rh0"), ("egarch", "thetta"), ("estimator", "alpah"),
+    ("lrv", "bandwith"), ("bandwidth", "b_n"), ("experiment", "replicatons"),
+])
+def test_misspelled_config_keys_are_domain_errors(tmp_path, capsys, block,
+                                                  key):
+    # a key that names no field fails in every block, instead of loading
+    # the field's default: one error line naming the block and the key,
+    # and no report
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(_misspelled(block, key)))
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown {block} option {key!r}\n")
+    assert not out.exists()
+
+
+def test_legacy_config_keys_still_load(tmp_path, capsys):
+    # keys that name no field but that older configs carry: output_dir
+    # at the top level, the lag window and the one normalization
+    cfg = {"process": {"kind": "iid_gaussian"},
+           "estimators": [{"name": "gini"}], "sample_sizes": [25],
+           "replications": 8, "output_dir": "old_reports",
+           "lrv": {"weight": "bartlett", "normalization": "combinatorial"}}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--out", str(out)]) == 0
+    assert "gini n=25: qq_corr=" in capsys.readouterr().out
+    assert (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("lrv", {}),
     ("lrv", None),
@@ -784,4 +837,10 @@ def test_exit_code_2_on_usage_error(three_csv):
     with pytest.raises(SystemExit) as exc:
         run_cli(["ci", "--estimator", "gini", "--input", three_csv,
                  "--normalization", "paper_literal"])
+    assert exc.value.code == 2
+
+    # lrv reads --estimator or --kernel; given both, neither is dropped
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["lrv", "--estimator", "gini", "--kernel", "identity",
+                 "--input", three_csv])
     assert exc.value.code == 2

@@ -445,14 +445,20 @@ def test_config_with_output_dir_key_loads(tmp_path):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(dict(d, output_dir="old_reports")))
     assert load_config(p) == small_config()
-    # unknown keys in the process, egarch, lrv and bandwidth blocks are
-    # ignored too
-    cfg = small_config(process=egarch_scenario(1), lrv=LrvConfig())
-    d = json.loads(cfg.to_json())
-    for block in (d["process"], d["process"]["egarch"], d["lrv"],
-                  d["lrv"]["bandwidth"]):
+    # a key that names no field is an error in every other case, in the
+    # process, egarch, lrv and bandwidth blocks too
+    d = json.loads(small_config(process=egarch_scenario(1),
+                                lrv=LrvConfig()).to_json())
+    for block, what in ((d["process"], "process"),
+                        (d["process"]["egarch"], "egarch"),
+                        (d["lrv"], "lrv"),
+                        (d["lrv"]["bandwidth"], "bandwidth"),
+                        (d, "experiment")):
         block["note"] = 1
-    assert ExperimentConfig.from_dict(d) == cfg
+        with pytest.raises(ValueError,
+                           match=f"unknown {what} option 'note'"):
+            ExperimentConfig.from_dict(d)
+        del block["note"]
 
 
 def test_lrv_block_normalization_key():
@@ -603,6 +609,19 @@ def test_degenerate_cell_is_recorded_not_raised():
     assert cell.error == ("DegenerateVarianceError: no distinct index "
                           "subsets drawn")
     assert cell.estimates is None
+
+
+def test_constant_cell_is_a_degenerate_variance(monkeypatch):
+    # every replication gives the same estimate: the QQ points have no
+    # scale, and the cell records qq_points' error
+    monkeypatch.setattr(mc, "apply_estimator", lambda est, path, rng: 1.0)
+    report = run_experiment(small_config(sample_sizes=(30,)))
+    for label in ("gini", "lms"):
+        cell = report.cells[(label, 30)]
+        assert cell.error == ("DegenerateVarianceError: zero variance "
+                              "across replications")
+        assert cell.summary is None and cell.qq is None
+        np.testing.assert_array_equal(cell.estimates, np.ones(20))
 
 
 def test_write_report(tmp_path):
