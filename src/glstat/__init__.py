@@ -59,9 +59,7 @@ from .processes import GAUSSIAN_MEAN_ABS, EgarchParams, make_rng
 from .ustat import (
     KernelValueSet,
     MinPairwiseCounts,
-    PopulationHoeffding,
     g1_hat_all,
-    hoeffding_decompose_population,
     kernel_values,
     u_distribution,
     u_quantile,

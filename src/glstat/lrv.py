@@ -51,12 +51,10 @@ def default_bandwidth(n: int) -> int:
     """floor(n^(1/3)), >= 1; satisfies b_n -> inf, b_n/sqrt(n) -> 0."""
     if n < 2:
         raise InsufficientDataError(f"bandwidth needs n >= 2, got {n}")
-    b = max(1, int(round(n ** (1.0 / 3.0))))
-    while b ** 3 > n:
-        b -= 1
-    while (b + 1) ** 3 <= n:
-        b += 1
-    return max(1, b)
+    # the float cube root is within 1/2 of the true one, so rounding it
+    # is floor(n^(1/3)) or one more
+    b = round(n ** (1.0 / 3.0))
+    return b - 1 if b ** 3 > n else b
 
 
 def _check_positive(what: str, v) -> None:

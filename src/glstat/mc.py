@@ -165,7 +165,7 @@ class EstimatorConfig:
         # checked when built, so that an experiment fails before any cell
         # runs: a negative subsample would silently run exact Q, a string
         # alpha would fail inside a cell
-        if self.name not in ESTIMATORS:
+        if not isinstance(self.name, str) or self.name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.name!r}")
         if not (is_number(self.subsample, integral=True)
                 and self.subsample >= 0):

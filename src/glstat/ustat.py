@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, ceil
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -633,10 +633,11 @@ def g1_hat_all(sample, kernel: KernelSpec, at=None) -> np.ndarray:
     inner sums run over the full sample and do not exclude any index whose
     value equals x.  The inner sums come from tail_sums and the outer
     sum is C(n, m) U_n, so a kernel with a closed form enumerates no
-    kernel value.  For the closed-form min-pairwise kernels (m <= 3) at
+    kernel value.  For the closed-form min-pairwise kernel with m = 3 at
     the sample points, a tail holding the point itself scores 0, so the
     tail sums count every m-subset once per member and the outer sum is
-    their total over m.  Any other kernel takes U_n first, so one that
+    their total over m.  Any other kernel, min-pairwise m = 2 included
+    (it is |x - y| and takes the Gini path), takes U_n first, so one that
     enumerates raises CapacityError before its tails are enumerated.
     """
     x = as_sample(sample)
@@ -644,94 +645,10 @@ def g1_hat_all(sample, kernel: KernelSpec, at=None) -> np.ndarray:
     _require_n(x, m)
     d1, d2 = float(comb(n, m - 1)), float(comb(n, m))
     pts = x if at is None else as_sample(at)
-    if at is None and m <= 3 and kernel is MIN_PAIRWISE.get(m):
+    if at is None and kernel is MIN_PAIRWISE.get(3):
         tails = tail_sums(x, kernel, None, pts)
         total = float(np.sum(tails)) / m
     else:
         total = comb(n, m) * u_statistic(x, kernel)
         tails = tail_sums(x, kernel, None, pts)
     return tails / d1 - total / d2
-
-
-# --- population Hoeffding decomposition (finite support, oracle) ----------
-
-@dataclass(frozen=True)
-class PopulationHoeffding:
-    """Exact Hoeffding decomposition of a kernel under a finite-support
-    product distribution; used as a test oracle.
-
-    g_components[j-1] maps a sorted j-tuple of support values to g_j.
-    """
-
-    theta: float
-    support: Tuple[float, ...]
-    probabilities: Tuple[float, ...]
-    m: int
-    g_components: Tuple[Dict[Tuple[float, ...], float], ...]
-
-    def g(self, j: int, args: Sequence[float]) -> float:
-        if not 1 <= j <= self.m:
-            raise ValueError(f"j must be in 1..{self.m}, got {j}")
-        key = tuple(sorted(float(a) for a in args))
-        if len(key) != j:
-            raise ValueError(f"g_{j} takes {j} arguments, got {len(key)}")
-        return self.g_components[j - 1][key]
-
-
-def hoeffding_decompose_population(
-    support_probs: Sequence[Tuple[float, float]],
-    kernel: KernelSpec,
-) -> PopulationHoeffding:
-    """Exhaustive Hoeffding decomposition over a finite discrete law.
-
-    Computes theta = E h(Y_1..Y_m), the conditional means h~_j, and the
-    degenerate components g_1..g_m by enumeration over the product
-    distribution.
-    """
-    support = tuple(float(v) for v, _ in support_probs)
-    probs = np.array([p for _, p in support_probs], dtype=float)
-    if np.any(probs <= 0):
-        raise ValueError("probabilities must be positive")
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-    if len(set(support)) != len(support):
-        raise ValueError("support values must be distinct")
-    m = kernel.m
-    s = len(support)
-    if s ** m > ENUM_CAP:
-        raise CapacityError(f"{s}^{m} enumeration exceeds cap {ENUM_CAP}")
-
-    def cond_mean(prefix: Tuple[float, ...]) -> float:
-        """E h(prefix, Y_{k+1}, ..., Y_m)."""
-        k = len(prefix)
-        total = 0.0
-        for tail in itertools.product(range(s), repeat=m - k):
-            w = float(np.prod(probs[list(tail)])) if tail else 1.0
-            row = np.array([prefix + tuple(support[t] for t in tail)])
-            total += w * float(kernel.eval_rows(row)[0])
-        return total
-
-    theta = cond_mean(())
-    g_components: List[Dict[Tuple[float, ...], float]] = []
-    for j in range(1, m + 1):
-        gj: Dict[Tuple[float, ...], float] = {}
-        for combo in itertools.combinations_with_replacement(support, j):
-            key = tuple(sorted(combo))
-            if key in gj:
-                continue
-            h_tilde = cond_mean(key) - theta
-            lower = 0.0
-            for k in range(1, j):
-                for idx in itertools.combinations(range(j), k):
-                    sub = tuple(sorted(key[i] for i in idx))
-                    lower += g_components[k - 1][sub]
-            gj[key] = h_tilde - lower
-        g_components.append(gj)
-
-    return PopulationHoeffding(
-        theta=theta,
-        support=support,
-        probabilities=tuple(float(p) for p in probs),
-        m=m,
-        g_components=tuple(g_components),
-    )

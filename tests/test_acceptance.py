@@ -30,7 +30,6 @@ from glstat import (
     g1_hat_all,
     gini_gl_spec,
     gl_statistic,
-    hoeffding_decompose_population,
     lrv_ustat,
     make_rng,
     q_gl_spec,
@@ -151,27 +150,6 @@ def test_hoeffding_projections_match_enumeration_oracle():
             worst_g1 <= 1e-12 and worst_a1 <= 1e-12 and elapsed < 10.0,
             f"max |g1 diff| = {worst_g1:.2e}, max |A1 diff| = {worst_a1:.2e}",
             elapsed)
-
-
-def test_population_decomposition_is_degenerate():
-    t0 = time.perf_counter()
-    rng = make_rng(1003)
-    worst = 0.0
-    for kernel in (GINI, MINP3):
-        for n_atoms in (2, 3, 5):
-            pts = np.sort(rng.standard_normal(n_atoms))
-            probs = rng.dirichlet(np.ones(n_atoms))
-            support = list(zip(pts.tolist(), probs.tolist()))
-            dec = hoeffding_decompose_population(support, kernel)
-            for j in range(1, kernel.m + 1):
-                for fixed in itertools.combinations_with_replacement(
-                        pts.tolist(), j - 1):
-                    s = sum(q * dec.g(j, fixed + (y,))
-                            for y, q in support)
-                    worst = max(worst, abs(s))
-    elapsed = time.perf_counter() - t0
-    verdict("population decomposition degeneracy, <= 5 atoms, m in {2, 3}",
-            worst <= 1e-12, f"max |conditional mean| = {worst:.2e}", elapsed)
 
 
 def test_scale_equivariance_200_triples():

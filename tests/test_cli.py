@@ -445,6 +445,27 @@ def test_simulate_verbose_echoes_the_burn_in_it_reads(capsys):
             f"density_c=None burn_in={burn_in}\n")
 
 
+def test_verbose_echoes_to_stderr_only(three_csv, capsys):
+    # the echo is one stderr line; stdout is the bytes of a plain run
+    for argv, echo in (
+            (["estimate", "--estimator", "gini"],
+             "estimator=gini m=3 alpha=0.5 bandwidth=None density_c=None"),
+            (["lrv", "--kernel", "min_pairwise", "--m", "3"],
+             "estimator=None m=3 alpha=0.5 bandwidth=auto density_c=0.5"),
+            (["lrv", "--estimator", "gini"],
+             "estimator=gini m=3 alpha=0.5 bandwidth=auto density_c=0.5"),
+            (["ci", "--estimator", "gini", "--level", "0.9"],
+             "estimator=gini m=3 alpha=0.5 bandwidth=auto density_c=0.5")):
+        argv = argv + ["--input", three_csv]
+        assert run_cli(argv) == 0
+        plain = capsys.readouterr()
+        assert run_cli(argv + ["--verbose"]) == 0
+        verbose = capsys.readouterr()
+        assert plain.err == ""
+        assert verbose.err == f"# {echo} burn_in=None\n"
+        assert verbose.out == plain.out
+
+
 @pytest.mark.parametrize("model", ["iid", "ar1", "egarch"])
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_simulate_rejects_n_below_one(tmp_path, capsys, model, n):
@@ -744,6 +765,9 @@ def test_legacy_config_keys_still_load(tmp_path, capsys):
     ("process", _egarch_with(lam=True)),
     ("lrv", {"weight": "bartlett", "density_halfwidth_c": True}),
     ("lrv", {"weight": "bartlett", "bandwidth": {"kind": "fixed", "b": True}}),
+    # an unhashable name is an unknown estimator, not a TypeError
+    ("estimators", [{"name": ["gini"]}]),
+    ("estimators", [{"name": {"gini": 1}}]),
 ])
 def test_malformed_config_values_are_domain_errors(tmp_path, capsys, key,
                                                    value):

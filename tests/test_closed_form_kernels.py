@@ -177,6 +177,20 @@ def test_tail_sums_are_bit_identical_to_unsorted_search(kernel):
             assert got.tobytes() == want.tobytes()
 
 
+def test_min_pairwise_m2_projection_is_the_gini_one():
+    # min_pairwise m = 2 is |x - y|: its projection and LRV take the Gini
+    # path, so they equal the Gini kernel's bit for bit, not to rounding
+    minp2 = builtin_kernel("min_pairwise", {"m": 2})
+    rng = np.random.default_rng(23)
+    for n in rng.integers(5, 3000, 60):
+        x = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+        if n % 3 == 0:
+            x = np.round(x)  # tied
+        assert np.array_equal(g1_hat_all(x, minp2),
+                              g1_hat_all(x, GINI_ABS_DIFF))
+        assert lrv_ustat(x, minp2) == lrv_ustat(x, GINI_ABS_DIFF)
+
+
 def test_range_is_one_shared_kernel_per_m():
     for m in (2, 3, 7):
         kernel = builtin_kernel("range", {"m": m})

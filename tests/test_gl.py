@@ -1,3 +1,4 @@
+import re
 from math import comb, floor, sqrt
 
 import numpy as np
@@ -150,6 +151,18 @@ def test_input_validation():
         estimator_q([0.0, 1.0, 2.0], alpha=1.5)
     with pytest.raises(ValueError):
         estimator_c([0.0, 1.0, 2.0], alpha=0.7)
+    with pytest.raises(InsufficientDataError,
+                       match=re.escape("need n >= [alpha n] + 2 = 2")):
+        estimator_c([1.0], alpha=0.25)
+    # n = 3, alpha = 0.4: [n/2] - [alpha n] = 0
+    with pytest.raises(InsufficientDataError,
+                       match=re.escape("[n/2] - [alpha n] = 0 outside 1..1")):
+        estimator_c([0.0, 1.0, 3.0], alpha=0.4)
+    with pytest.raises(ValueError, match="unknown quantile convention 'nope'"):
+        gl_statistic([0.0, 1.0, 3.0],
+                     GLSpec(kernel=builtin_kernel("gini_abs_diff"),
+                            discrete=((1.0, 0.5),),
+                            quantile_convention="nope"))
     with pytest.raises(ValueError):
         GLSpec(kernel=builtin_kernel("gini_abs_diff"),
                discrete=((1.0, 1.5),))

@@ -38,6 +38,13 @@ def test_default_bandwidth():
     assert default_bandwidth(27) == 3
     assert default_bandwidth(26) == 2
     assert default_bandwidth(2) == 1
+    # the exact integer cube root b**3 <= n < (b + 1)**3 on every n below
+    # 3 * 10**6 and next to every cube k**3 with k < 2 * 10**5
+    k = np.arange(2, 200_000, dtype=np.int64)
+    ns = np.concatenate([np.arange(2, 3_000_000, dtype=np.int64),
+                         k ** 3 - 1, k ** 3, k ** 3 + 1])
+    b = np.array([default_bandwidth(int(n)) for n in ns], dtype=np.int64)
+    assert np.all(b ** 3 <= ns) and np.all(ns < (b + 1) ** 3)
 
 
 def test_bandwidth_policies():
@@ -64,6 +71,12 @@ def test_bandwidth_policies():
             BandwidthPolicy(**bad)
     with pytest.raises(ValueError, match="bandwidth must be finite"):
         BandwidthPolicy(kind="fixed", b=float("inf"))
+    with pytest.raises(ValueError, match="unknown bandwidth policy 'nope'"):
+        BandwidthPolicy(kind="nope")
+    # a finite c whose b_n = c * n^e overflows
+    huge = BandwidthPolicy(kind="power_law", c=1e308, e=0.4)
+    with pytest.raises(ValueError, match="bandwidth must be finite, got inf"):
+        huge.resolve(1000)
 
 
 def test_lrv_ustat_two_point_example():

@@ -279,6 +279,11 @@ def test_q_subsampled_empty_or_too_short_sample():
                        match="no distinct index subsets drawn"):
         q_subsampled([1.0, 2.0], 3, 0.5, 100, rng)
     assert rng_state(rng) == before
+    # n = m: the one row drawn from seed 0 repeats an index
+    assert make_rng(0).integers(0, 2, size=(1, 2)).tolist() == [[0, 0]]
+    with pytest.raises(DegenerateVarianceError,
+                       match="no distinct index subsets drawn"):
+        q_subsampled([1.0, 2.0], 2, 0.5, 1, make_rng(0))
 
 
 def test_apply_estimator_exact_q_at_study_size():

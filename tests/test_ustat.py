@@ -14,10 +14,10 @@ from glstat import (
     build_plugin,
     builtin_kernel,
     custom_kernel,
+    estimator_q,
     eval_kernel,
     g1_hat_all,
     gini_gl_spec,
-    hoeffding_decompose_population,
     kernel_values,
     q_gl_spec,
     u_distribution,
@@ -173,33 +173,6 @@ def test_g1_hat_identity_kernel_is_centering():
     np.testing.assert_allclose(vals, x - x.mean(), atol=1e-14)
 
 
-def test_population_hoeffding_reconstruction():
-    # h(x1..xm) = theta + sum_j sum_combos g_j on every argument tuple
-    support = [(-1.0, 0.2), (0.0, 0.3), (0.5, 0.1), (2.0, 0.4)]
-    for kernel in (GINI, MINP3):
-        dec = hoeffding_decompose_population(support, kernel)
-        pts = [s for s, _ in support]
-        for args in itertools.combinations_with_replacement(pts, kernel.m):
-            total = dec.theta
-            for j in range(1, kernel.m + 1):
-                for sub in itertools.combinations(args, j):
-                    total += dec.g(j, sub)
-            assert total == pytest.approx(eval_kernel(kernel, list(args)),
-                                          abs=1e-12)
-
-
-def test_population_hoeffding_degeneracy():
-    # each g_j integrates to zero in any single coordinate
-    support = [(0.0, 0.5), (1.0, 0.25), (3.0, 0.25)]
-    probs = dict(support)
-    dec = hoeffding_decompose_population(support, GINI)
-    pts = list(probs)
-    for j in (1, 2):
-        for fixed in itertools.combinations_with_replacement(pts, j - 1):
-            s = sum(probs[y] * dec.g(j, fixed + (y,)) for y in pts)
-            assert abs(s) < 1e-13
-
-
 def test_capacity_error():
     # C(845, 3) exceeds the enumeration bound of 10^8
     x = np.zeros(845)
@@ -213,6 +186,9 @@ def test_capacity_error():
     prod = custom_kernel("product", 3, lambda a: a[0] * a[1] * a[2])
     with pytest.raises(CapacityError):
         g1_hat_all(np.arange(845.0), prod, at=[0.0])
+    # exact Q counts; C(5000, 6) >= 2^63 would overflow its int64 counts
+    with pytest.raises(CapacityError, match="n=5000, m=6 would overflow"):
+        estimator_q(np.arange(5000.0), m=6)
 
 
 def test_insufficient_data():
