@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InsufficientDataError
 from .kernels import GINI_ABS_DIFF, KernelSpec, builtin_kernel
 from .ustat import (
+    QUANTILE_CONVENTIONS,
     UDistribution,
     as_sample,
     kernel_values,
@@ -85,6 +86,9 @@ class GLSpec:
         for a, p in self.discrete:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"discrete quantile level {p} not in (0, 1)")
+        if self.quantile_convention not in QUANTILE_CONVENTIONS:
+            raise ValueError(f"unknown quantile convention "
+                             f"{self.quantile_convention!r}")
 
     @property
     def linear_constant(self) -> Optional[float]:

@@ -104,6 +104,9 @@ class LrvConfig:
     density_halfwidth_c: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.bandwidth, BandwidthPolicy):
+            raise ValueError(f"bandwidth must be of type BandwidthPolicy, "
+                             f"got {self.bandwidth!r}")
         _check_positive("density half-width c", self.density_halfwidth_c)
 
 
@@ -264,11 +267,10 @@ def build_plugin(sample, spec: GLSpec,
 
 
 def a1_hat_all(sample, spec: GLSpec,
-               plugin: Optional[PluginContext] = None,
-               at=None) -> np.ndarray:
-    """Ahat_1, the empirical first Hoeffding projection of A o h, at the
-    points ``at`` (default: every sample point), with the subset-count
-    denominators of glstat.ustat.g1_hat_all.  ``plugin`` defaults to
+               plugin: Optional[PluginContext] = None) -> np.ndarray:
+    """Ahat_1, the empirical first Hoeffding projection of A o h, at every
+    sample point, in sample order, with the subset-count denominators of
+    glstat.ustat.g1_hat_all.  ``plugin`` defaults to
     ``build_plugin(sample, spec)``; pass one built with an LrvConfig for
     another density half-width."""
     if plugin is None:
@@ -276,26 +278,25 @@ def a1_hat_all(sample, spec: GLSpec,
     x = as_sample(sample)
     n, m = x.size, spec.kernel.m
     d1, d2 = float(comb(n, m - 1)), float(comb(n, m))
-    pts = x if at is None else as_sample(at)
     if plugin.u_n is not None:
         # A = c (h - U_n), so the outer sum vanishes:
         # Ahat_1 = c (S - C(n, m-1) U_n) / d1
-        return spec.linear_constant * (tail_sums(x, spec.kernel, None, pts)
+        return spec.linear_constant * (tail_sums(x, spec.kernel, None)
                                        - comb(n, m - 1) * plugin.u_n) / d1
     H = plugin.kvs
     if isinstance(H, MinPairwiseCounts):
         # J == 0: A(v) = sum_k a_k (p_k - 1[v <= xi_k]) / hhat_k, so the
         # inner and outer sums of A are counts of tails and of subsets
         tails = comb(n, m - 1)
-        out = np.zeros(pts.size)
+        out = np.zeros(n)
         for (a, p), xi, dens in zip(spec.discrete, plugin.quantiles,
                                     plugin.densities):
-            out += a * ((p * tails - H.per_point_le(xi, pts)) / d1
+            out += a * ((p * tails - H.per_point_le(xi, x)) / d1
                         - (p * H.size - H.count_le(xi)) / d2) / dens
         return out
     # inner sums of A o h over the enumerated tails, outer sum over H_n
     total = np.sum(plugin.a_of_values(H.sorted_values))
-    return (tail_sums(x, spec.kernel, plugin.a_of_values, pts) / d1
+    return (tail_sums(x, spec.kernel, plugin.a_of_values) / d1
             - total / d2)
 
 

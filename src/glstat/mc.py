@@ -223,6 +223,16 @@ class ExperimentConfig:
     ci_level: float = 0.95
 
     def __post_init__(self):
+        # from Python, a dict in place of a block would fail only in a cell
+        blocks = [("process", self.process, ProcessConfig),
+                  *(("estimator", e, EstimatorConfig)
+                    for e in self.estimators)]
+        if self.lrv is not None:
+            blocks.append(("lrv", self.lrv, LrvConfig))
+        for what, v, cls in blocks:
+            if not isinstance(v, cls):
+                raise ValueError(f"{what} must be of type {cls.__name__}, "
+                                 f"got {v!r}")
         # not truncated with int(): a sample size of 100.7 must fail,
         # not run n = 100
         for what, v in (("replications", self.replications),

@@ -4,12 +4,14 @@ empirical first Hoeffding projection.
 Operations enumerate the C(n, m) index subsets exactly, at most
 ``ENUM_CAP`` of them (else CapacityError), except where a catalog
 kernel, recognized by identity, has a closed form over the sorted
-sample:
+sample.  Tail sums and g1_hat are taken at the sample points only, so a
+closed form is a function of the sorted sample alone:
 
     kernel                U_n, tail sums, g1_hat          H_n
     gini_abs_diff         prefix sums, O(n log n)         counted
     min_pairwise, m = 2   as gini_abs_diff                counted
-    min_pairwise, m = 3   capped gap sums, O(n^2 log n)   counted
+    min_pairwise, m = 3   capped gap sums on two grids,   counted
+                          O(n^2 log n)
     min_pairwise, m >= 4  enumerated                      counted
     range, any m          binomial sums, O(n log n)       enumerated
     other kernels         enumerated                      enumerated
@@ -83,6 +85,10 @@ class KernelValueSet:
         return float(self.sorted_values[_rank(p, self.size, convention) - 1])
 
 
+# the quantile conventions of _rank
+QUANTILE_CONVENTIONS = ("ceil", "floor_bracket")
+
+
 def _rank(p: float, N: int, convention: str) -> int:
     """The 1-based rank k of H_n^{-1}(p) among N kernel values.
 
@@ -90,7 +96,7 @@ def _rank(p: float, N: int, convention: str) -> int:
     ``floor_bracket``: k = max(1, floor(p * N)), matching the
     floor-bracket index used for the Q estimator.
     """
-    if convention not in ("ceil", "floor_bracket"):
+    if convention not in QUANTILE_CONVENTIONS:
         raise ValueError(f"unknown quantile convention {convention!r}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
@@ -343,29 +349,19 @@ class MinPairwiseCounts:
 _GRID_ENTRIES = 1 << 16
 
 
-def _shifted(xs: np.ndarray, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """xs and pts less the sample median, so that prefix sums stay small
-    when the sample sits far from zero."""
-    c = xs[xs.size // 2]
-    return xs - c, pts - c
+def _shifted(xs: np.ndarray) -> np.ndarray:
+    """xs less the sample median, so that prefix sums stay small when the
+    sample sits far from zero."""
+    return xs - xs[xs.size // 2]
 
 
-def _count_le(ys: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """#{j : ys_j <= a_i} for every i, searched in sorted key order (far
-    faster than in random order; each count depends only on its key)."""
-    order = np.argsort(a)
-    k = np.empty(a.size, dtype=np.intp)
-    k[order] = np.searchsorted(ys, a[order], side="right")
-    return k
-
-
-def _abs_diff_tails(xs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """S(a) = sum_j |a - X_j| from prefix sums."""
+def _abs_diff_tails(xs: np.ndarray) -> np.ndarray:
+    """S(X_(i)) = sum_j |X_(i) - X_j| from prefix sums."""
     n = xs.size
-    ys, a = _shifted(xs, pts)
+    ys = _shifted(xs)
     pre = np.concatenate(([0.0], np.cumsum(ys)))
-    k = _count_le(ys, a)  # #{j : X_j <= a}
-    return a * (2 * k - n) + pre[n] - 2.0 * pre[k]
+    k = np.searchsorted(ys, ys, side="right")  # #{j : X_j <= X_(i)}
+    return ys * (2 * k - n) + pre[n] - 2.0 * pre[k]
 
 
 def _abs_diff_u(xs: np.ndarray) -> float:
@@ -410,48 +406,38 @@ def _capped_sums(xs: np.ndarray, ref: np.ndarray,
     return np.take(runs, at) + (n - p) * limit
 
 
-def _pairs_above(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum over positions j < l with xs[j] > a of
-    min(xs[j] - a, xs[l] - xs[j]), for each of the ascending points a."""
-    out = np.zeros(a.size)
-    for j in _blocks(xs.size, max(xs.size, a.size)):
-        y = xs[j]
-        c = np.searchsorted(a, y[-1, 0])  # points below some y
-        s = _capped_sums(xs, y, np.maximum(y - a[:c], 0.0))
-        out[:c] += s.sum(axis=0)
-    return out
-
-
-def _pairs_around(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum over positions j, l with xs[j] < a < xs[l] of
-    min(a - xs[j], xs[l] - a), for each point a."""
-    out = np.zeros(a.size)
-    for k in _blocks(a.size, xs.size):
-        b = a[k]
+def _pairs_around(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For the sorted sample xs, the sums of min(xs[k] - xs[j],
+    xs[l] - xs[k]) over the triples xs[j] < xs[k] < xs[l]: by middle k
+    (the row sums of the grid of middles by bottoms) and by bottom j (its
+    column sums)."""
+    mid, bottom = np.zeros(xs.size), np.zeros(xs.size)
+    for k in _blocks(xs.size, xs.size):
+        b = xs[k]
         y = xs[:np.searchsorted(xs, b.max())]  # values below some b
-        out[k[:, 0]] = _capped_sums(xs, b, np.maximum(b - y, 0.0)).sum(axis=1)
-    return out
+        s = _capped_sums(xs, b, np.maximum(b - y, 0.0))
+        mid[k[:, 0]] = s.sum(axis=1)
+        bottom[:y.size] += s.sum(axis=0)
+    return mid, bottom
 
 
-def _min3_tails(xs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """S(a) = sum over pairs j < k of the min-pairwise kernel of
-    (a, X_j, X_k): the smaller gap of the sorted triple.  A pair lies
-    above a, below a or on both sides of it; a value equal to a scores
-    0 with any partner.  Every term is a gap the kernel computes itself.
-    O(n log n) time per point; memory O(n) per block of the grid."""
-    order = np.argsort(pts, kind="stable")
-    a = pts[order]
-    # the pairs below a are the pairs above -a in the negated sample
-    below = _pairs_above(-xs[::-1], -a[::-1])[::-1]
-    out = np.empty(pts.size)
-    out[order] = _pairs_above(xs, a) + below + _pairs_around(xs, a)
-    return out
+def _min3_tails(xs: np.ndarray) -> np.ndarray:
+    """S(X_(i)) = sum over pairs j < k of the min-pairwise kernel of
+    (X_(i), X_j, X_k): the smaller gap of the sorted triple.  Each triple
+    of distinct values adds its value to the tails of its middle, bottom
+    and top members; a value tied with X_(i) scores 0 with any partner.
+    The tops are the bottoms of the negated sample.  Every term is a gap
+    the kernel computes itself.  O(n^2 log n) time; memory O(n) per
+    block of the grid."""
+    mid, bottom = _pairs_around(xs)
+    top = _pairs_around(-xs[::-1])[1][::-1]
+    return mid + bottom + top
 
 
 def _min3_u(xs: np.ndarray) -> float:
     """U_n of the m = 3 min-pairwise kernel: each triple counted once,
     around its middle value (a tied triple scores 0)."""
-    return float(np.sum(_pairs_around(xs, xs)) / comb(xs.size, 3))
+    return float(np.sum(_pairs_around(xs)[0]) / comb(xs.size, 3))
 
 
 def _float_count(v: int) -> int:
@@ -468,33 +454,32 @@ def _binomials(n: int, k: int) -> np.ndarray:
     return np.array([comb(i, k) for i in range(n + 1)], dtype=float)
 
 
-def _range_tails(xs: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
-    """S(a) = sum over (m-1)-subsets T of max(a, T) - min(a, T).  The
-    C(r, m-1) subsets inside the r values <= a have max a; the others
-    have their top value, X_(i) for C(i, m-2) of them.  The min is the
-    same from below."""
+def _range_tails(xs: np.ndarray, m: int) -> np.ndarray:
+    """S(a) = sum over (m-1)-subsets T of max(a, T) - min(a, T) at each
+    a = X_(i).  The C(r, m-1) subsets inside the r values <= a have max
+    a; the others have their top value, X_(i) for C(i, m-2) of them.  The
+    min is the same from below."""
     n = xs.size
-    ys, b = _shifted(xs, pts)
+    ys = _shifted(xs)
     c1, c2 = _binomials(n, m - 1), _binomials(n, m - 2)
     top = np.append(np.cumsum((ys * c2[:n])[::-1])[::-1], 0.0)
     bottom = np.concatenate(([0.0], np.cumsum(ys * c2[n - 1::-1])))
-    r = _count_le(ys, b)
-    return b * (c1[r] - c1[n - r]) + top[r] - bottom[r]
+    r = np.searchsorted(ys, ys, side="right")
+    return ys * (c1[r] - c1[n - r]) + top[r] - bottom[r]
 
 
 def _range_u(xs: np.ndarray, m: int) -> float:
     """U_n = sum_i X_(i) (C(i, m-1) - C(n-1-i, m-1)) / C(n, m)."""
     n = xs.size
     c1 = _binomials(n, m - 1)
-    ys = xs - xs[n // 2]  # as in _shifted
     w = c1[:n] - c1[n - 1::-1]
-    return float(np.dot(w, ys) / _float_count(comb(n, m)))
+    return float(np.dot(w, _shifted(xs)) / _float_count(comb(n, m)))
 
 
 def _closed_form(kernel: KernelSpec):
     """(tails, u) of a catalog kernel with a closed form (see the module
-    docstring), recognized by identity, or None: tails(xs, pts) is
-    tail_sums and u(xs) the U-statistic, both of the sorted sample xs.
+    docstring), recognized by identity, or None: tails(xs) is tail_sums
+    and u(xs) the U-statistic, both of the sorted sample xs.
     min_pairwise m = 2 is |x - y| and shares the Gini forms."""
     m = kernel.m
     if kernel is GINI_ABS_DIFF or kernel is MIN_PAIRWISE.get(2):
@@ -502,7 +487,7 @@ def _closed_form(kernel: KernelSpec):
     if kernel is MIN_PAIRWISE.get(3):
         return _min3_tails, _min3_u
     if kernel is RANGE.get(m):
-        return (lambda xs, pts: _range_tails(xs, pts, m),
+        return (lambda xs: _range_tails(xs, m),
                 lambda xs: _range_u(xs, m))
     return None
 
@@ -588,43 +573,40 @@ def u_quantile(sample, kernel: KernelSpec, p: float,
 
 # --- empirical first Hoeffding projection ---------------------------------
 
-# rows (point, tail...) evaluated per chunk of tail_sums' enumeration
-_PROJECT_ROWS = 1 << 16
-
-
 def tail_sums(x: np.ndarray, kernel: KernelSpec,
-              transform: Optional[Callable[[np.ndarray], np.ndarray]],
-              pts: np.ndarray) -> np.ndarray:
-    """S(a) = sum over i_1<...<i_{m-1} of f(h(a, X_{i_1..i_{m-1}})) for
-    every a in ``pts``, with f = transform (identity when None) and x a
-    validated sample.
+              transform: Optional[Callable[[np.ndarray], np.ndarray]]
+              ) -> np.ndarray:
+    """S(X_i) = sum over i_1<...<i_{m-1} of f(h(X_i, X_{i_1..i_{m-1}}))
+    for every i, in sample order, with f = transform (identity when None)
+    and x a validated sample.
 
     Without a transform, a kernel with a closed form (see _closed_form)
-    takes it; every other kernel enumerates the C(n, m-1) tails.
+    takes it on the sorted sample; every other kernel enumerates the
+    C(n, m-1) tails.
     """
     m = kernel.m
     closed = _closed_form(kernel) if transform is None else None
     if closed is not None:
-        return closed[0](np.sort(x), pts)
+        order = np.argsort(x)
+        s1 = np.empty(x.size)
+        s1[order] = closed[0](x[order])
+        return s1
     f = transform or (lambda v: v)
     tails = _subsets(x, m - 1)  # enumerated once
     T = tails.shape[0]
-    step = max(1, _PROJECT_ROWS // T)
-    s1 = np.empty(pts.size)
-    for lo in range(0, pts.size, step):
-        chunk = pts[lo:lo + step]
-        k = chunk.size
-        rows = np.empty((k, T, m))
-        rows[:, :, 0] = chunk[:, None]
+    s1 = np.empty(x.size)
+    for k in _blocks(x.size, T):
+        rows = np.empty((k.size, T, m))
+        rows[:, :, 0] = x[k]
         rows[:, :, 1:] = tails
-        vals = f(eval_kernel_rows(kernel, rows.reshape(k * T, m)))
-        s1[lo:lo + k] = vals.reshape(k, T).sum(axis=1)
+        vals = f(eval_kernel_rows(kernel, rows.reshape(k.size * T, m)))
+        s1[k[:, 0]] = vals.reshape(k.size, T).sum(axis=1)
     return s1
 
 
-def g1_hat_all(sample, kernel: KernelSpec, at=None) -> np.ndarray:
-    """ghat_1, the empirical first Hoeffding projection of h, at the
-    points ``at`` (default: every sample point).
+def g1_hat_all(sample, kernel: KernelSpec) -> np.ndarray:
+    """ghat_1, the empirical first Hoeffding projection of h, at every
+    sample point, in sample order.
 
     g_1(x) = (1/d1) sum over i_1<...<i_{m-1} of h(x, X_{i_1..i_{m-1}})
            - (1/d2) sum over i_1<...<i_m of h(X_{i_1..i_m})
@@ -633,22 +615,21 @@ def g1_hat_all(sample, kernel: KernelSpec, at=None) -> np.ndarray:
     inner sums run over the full sample and do not exclude any index whose
     value equals x.  The inner sums come from tail_sums and the outer
     sum is C(n, m) U_n, so a kernel with a closed form enumerates no
-    kernel value.  For the closed-form min-pairwise kernel with m = 3 at
-    the sample points, a tail holding the point itself scores 0, so the
-    tail sums count every m-subset once per member and the outer sum is
-    their total over m.  Any other kernel, min-pairwise m = 2 included
-    (it is |x - y| and takes the Gini path), takes U_n first, so one that
-    enumerates raises CapacityError before its tails are enumerated.
+    kernel value.  For the closed-form min-pairwise kernel with m = 3, a
+    tail holding the point itself scores 0, so the tail sums count every
+    m-subset once per member and the outer sum is their total over m.
+    Any other kernel, min-pairwise m = 2 included (it is |x - y| and
+    takes the Gini path), takes U_n first, so one that enumerates raises
+    CapacityError before its tails are enumerated.
     """
     x = as_sample(sample)
     n, m = x.size, kernel.m
     _require_n(x, m)
     d1, d2 = float(comb(n, m - 1)), float(comb(n, m))
-    pts = x if at is None else as_sample(at)
-    if at is None and kernel is MIN_PAIRWISE.get(3):
-        tails = tail_sums(x, kernel, None, pts)
+    if kernel is MIN_PAIRWISE.get(3):
+        tails = tail_sums(x, kernel, None)
         total = float(np.sum(tails)) / m
     else:
         total = comb(n, m) * u_statistic(x, kernel)
-        tails = tail_sums(x, kernel, None, pts)
+        tails = tail_sums(x, kernel, None)
     return tails / d1 - total / d2

@@ -317,7 +317,7 @@ def ustat3_lrv(x, h):
 def test_lrv_kernel_commands_at_study_size(tmp_path, capsys, name, h, n):
     # C(n, 3) triples would exceed the enumeration cap; lrv --kernel takes
     # the closed form of the tail sums.  At n = 900 it is held to the
-    # all-pairs oracle, at n = 5000 its tail sums at a few points.
+    # all-pairs oracle, at n = 5000 its tail sums at a few sample points.
     x = np.random.default_rng(137).standard_normal(n)
     p = tmp_path / "k.csv"
     p.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x))
@@ -328,10 +328,11 @@ def test_lrv_kernel_commands_at_study_size(tmp_path, capsys, name, h, n):
         assert sigma2 == pytest.approx(ustat3_lrv(x, h), rel=1e-9)
     else:
         assert sigma2 > 0.0
-        pts = np.array([x.min(), np.median(x), x[17], x.max() + 0.5])
+        idx = [int(np.argmin(x)), int(np.argsort(x)[n // 2]), 17,
+               int(np.argmax(x))]
         kernel = builtin_kernel(name, {"m": 3})
-        np.testing.assert_allclose(tail_sums(x, kernel, None, pts),
-                                   pair_sums(x, pts, h), rtol=1e-9)
+        np.testing.assert_allclose(tail_sums(x, kernel, None)[idx],
+                                   pair_sums(x, x[idx], h), rtol=1e-9)
 
 
 def test_lrv_identity_kernel(tmp_path, capsys):

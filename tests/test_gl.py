@@ -158,11 +158,13 @@ def test_input_validation():
     with pytest.raises(InsufficientDataError,
                        match=re.escape("[n/2] - [alpha n] = 0 outside 1..1")):
         estimator_c([0.0, 1.0, 3.0], alpha=0.4)
-    with pytest.raises(ValueError, match="unknown quantile convention 'nope'"):
-        gl_statistic([0.0, 1.0, 3.0],
-                     GLSpec(kernel=builtin_kernel("gini_abs_diff"),
-                            discrete=((1.0, 0.5),),
-                            quantile_convention="nope"))
+    # the convention is checked when the spec is built, with or without
+    # a discrete part that would read it
+    for discrete in (((1.0, 0.5),), ()):
+        with pytest.raises(ValueError,
+                           match="unknown quantile convention 'nope'"):
+            GLSpec(kernel=builtin_kernel("gini_abs_diff"),
+                   discrete=discrete, quantile_convention="nope")
     with pytest.raises(ValueError):
         GLSpec(kernel=builtin_kernel("gini_abs_diff"),
                discrete=((1.0, 1.5),))

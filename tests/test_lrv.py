@@ -73,6 +73,11 @@ def test_bandwidth_policies():
         BandwidthPolicy(kind="fixed", b=float("inf"))
     with pytest.raises(ValueError, match="unknown bandwidth policy 'nope'"):
         BandwidthPolicy(kind="nope")
+    # a number in place of the policy fails when built, not in resolve
+    for bad in (5, {"kind": "fixed", "b": 5.0}):
+        with pytest.raises(ValueError,
+                           match="bandwidth must be of type BandwidthPolicy"):
+            LrvConfig(bandwidth=bad)
     # a finite c whose b_n = c * n^e overflows
     huge = BandwidthPolicy(kind="power_law", c=1e308, e=0.4)
     with pytest.raises(ValueError, match="bandwidth must be finite, got inf"):
@@ -179,15 +184,6 @@ def test_constant_j_with_discrete_term_matches_direct_sums():
                 got = a1_hat_all(x, spec)
                 np.testing.assert_allclose(
                     got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
-
-
-def test_a1_hat_pointwise_matches_vectorized():
-    rng = np.random.default_rng(67)
-    x = rng.standard_normal(12)
-    spec = q_gl_spec()
-    fast = a1_hat_all(x, spec)
-    slow = np.array([a1_hat_all(x, spec, at=[v])[0] for v in x])
-    np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
 def test_plugin_centred_at_the_estimate_quantile():

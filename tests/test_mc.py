@@ -415,6 +415,22 @@ def test_estimator_option_types_are_checked_when_built():
         == EstimatorConfig(name="q")
 
 
+def test_block_types_are_checked_when_built():
+    # from Python, a dict in place of a block is an error when the config
+    # is built, not an AttributeError inside a cell; from_dict builds the
+    # blocks, so config files never reach these checks
+    for key, value, err in (
+            ("process", {"kind": "ar1"},
+             "process must be of type ProcessConfig"),
+            ("estimators", ({"name": "gini"},),
+             "estimator must be of type EstimatorConfig"),
+            ("lrv", {"weight": "bartlett"}, "lrv must be of type LrvConfig"),
+            ("lrv", {}, "lrv must be of type LrvConfig")):
+        with pytest.raises(ValueError, match=err):
+            small_config(**{key: value})
+    assert small_config(lrv=None).lrv is None
+
+
 def test_to_dict_values_are_pinned():
     cfg = ExperimentConfig(
         process=ProcessConfig(kind="garch11", garch=(0.1, 0.1, 0.8)),

@@ -109,10 +109,11 @@ def test_quantile_cdf_consistency():
 
 
 def test_g1_hat_examples():
-    assert g1_hat_all([0.0, 1.0], GINI, at=[0.0])[0] == pytest.approx(
-        -0.5, abs=1e-15)
-    assert g1_hat_all([0.0, 1.0, 2.0], GINI, at=[2.0])[0] == pytest.approx(
-        -1.0 / 3.0, abs=1e-15)
+    np.testing.assert_allclose(g1_hat_all([0.0, 1.0], GINI), [-0.5, -0.5],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(g1_hat_all([0.0, 1.0, 2.0], GINI),
+                               [-1.0 / 3.0, -2.0 / 3.0, -1.0 / 3.0],
+                               rtol=0, atol=1e-15)
 
 
 def brute_g1(sample, m, f, x):
@@ -125,13 +126,16 @@ def brute_g1(sample, m, f, x):
 
 
 def test_g1_hat_matches_brute_force_small(monkeypatch):
-    # a 20-row budget splits the points into chunks, the last one short
-    monkeypatch.setattr(ustat, "_PROJECT_ROWS", 20)
+    # a 20-entry budget splits the grid of the m = 3 closed form into
+    # blocks of two middles, the last one short
+    monkeypatch.setattr(ustat, "_GRID_ENTRIES", 20)
     rng = np.random.default_rng(13)
     ties = np.array([0.5, -1.0, 0.5, 2.0, -1.0, 0.5, 3.0])
     # per dimension m: random, tied, and n = m (a single kernel value)
     inputs = {m: (rng.standard_normal(7), ties, rng.standard_normal(m))
               for m in (1, 2, 3)}
+    # m = 3 also with ties at the bottom and the top of the sample
+    inputs[3] += (np.array([2.0, 5.0, -1.0, 2.0, 5.0, 0.0, -1.0, 2.0]),)
     for kernel in (IDENTITY, GINI, MINP3):
         h = partial(eval_kernel, kernel)
         for x in inputs[kernel.m]:
@@ -157,14 +161,6 @@ def test_g1_hat_matches_brute_force_small(monkeypatch):
             np.testing.assert_allclose(fast, slow, atol=1e-13)
 
 
-def test_g1_hat_all_consistent_with_pointwise():
-    rng = np.random.default_rng(21)
-    x = rng.standard_normal(10)
-    fast = g1_hat_all(x, MINP3)
-    slow = np.array([g1_hat_all(x, MINP3, at=[v])[0] for v in x])
-    np.testing.assert_allclose(fast, slow, atol=1e-13)
-
-
 def test_g1_hat_identity_kernel_is_centering():
     # for m = 1 the projection is just x - mean(x)
     rng = np.random.default_rng(8)
@@ -185,7 +181,7 @@ def test_capacity_error():
         g1_hat_all(x, builtin_kernel("min_pairwise", {"m": 4}))
     prod = custom_kernel("product", 3, lambda a: a[0] * a[1] * a[2])
     with pytest.raises(CapacityError):
-        g1_hat_all(np.arange(845.0), prod, at=[0.0])
+        g1_hat_all(np.arange(845.0), prod)
     # exact Q counts; C(5000, 6) >= 2^63 would overflow its int64 counts
     with pytest.raises(CapacityError, match="n=5000, m=6 would overflow"):
         estimator_q(np.arange(5000.0), m=6)
