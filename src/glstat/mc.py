@@ -223,6 +223,13 @@ class ExperimentConfig:
     ci_level: float = 0.95
 
     def __post_init__(self):
+        # a bare number would fail in iteration, and a list would leave
+        # the frozen config unhashable
+        for name in ("estimators", "sample_sizes"):
+            v = getattr(self, name)
+            if not isinstance(v, (tuple, list)):
+                raise ValueError(f"{name} must be a tuple or list, got {v!r}")
+            object.__setattr__(self, name, tuple(v))
         # from Python, a dict in place of a block would fail only in a cell
         blocks = [("process", self.process, ProcessConfig),
                   *(("estimator", e, EstimatorConfig)
@@ -321,56 +328,136 @@ def simulate_path(process: ProcessConfig, n: int,
     return _egarch(eg, z)[lead:]  # egarch, the last of PROCESS_KINDS
 
 
-def _gap_chunks(x: np.ndarray, m: int, n_subsets: int,
-                rng: np.random.Generator):
-    """Yield ``(gaps, repeated)`` for each chunk of _Q_CHUNK_ROWS index
-    rows, in stream order: the min-pairwise gap of every row and the
-    number of rows that repeat an index.  ``gaps`` is a buffer that the
-    next chunk overwrites.
+# numpy's bit generators whose next_uint32 hands out the low, then the
+# high half of each 64-bit word, holding the high half in the state's
+# (has_uint32, uinteger); named, as numpy.random loads on first use
+_HALF_WORD_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
 
-    While the caller reduces one chunk, one worker thread draws the next
-    with the same ``rng.integers`` call.  Draws are submitted in stream
-    order and at most one is in flight, so the generator is never used
-    by two threads at once.  A single chunk starts no thread.
+
+def _draw_indices(bg, n: int, held: Tuple[int, int], out: np.ndarray):
+    """Fill the uint64 array ``out`` with the values of
+    ``rng.integers(0, n, size=out.size)``, 2 <= n < 2**32, drawn from the
+    64-bit words of ``bg`` (one of _HALF_WORD_GENERATORS) that holds
+    ``held`` = (has_uint32, uinteger).  Return the pair it holds after,
+    and whether a half-word was skipped.
+
+    numpy's rule (Lemire's): the half-words are taken in order, the held
+    one first, then the low and the high half of each new word; a
+    half-word w gives the index (w * n) >> 32 unless its low product
+    (w * n) mod 2**32 is below (2**32 - n) mod n, when it is skipped.
+    Only the words that rule reads are drawn.
     """
-    pairs = list(combinations(range(m), 2))
-    rows = min(n_subsets, _Q_CHUNK_ROWS)
-    sizes = [min(rows, n_subsets - s) for s in range(0, n_subsets, rows)]
-    cols, gaps, diff = np.empty((rows, m)), np.empty(rows), np.empty(rows)
+    threshold = ((1 << 32) - n) % n
+    has, word = held
+    filled, skipped = 0, False
+    while filled < out.size:
+        need = out.size - filled
+        words = bg.random_raw((need - has + 1) // 2)
+        halves = _halves(words)
+        if has:
+            halves = np.concatenate((np.array([word], np.uint32), halves))
+        word = int(halves[-1])
+        dst = out[filled:]
+        np.multiply(halves[:need], n, out=dst, dtype=np.uint64)
+        used = need
+        if threshold and _halves(dst)[::2].min() < threshold:
+            skipped = True
+            prod = np.multiply(halves, n, dtype=np.uint64)
+            keep = np.flatnonzero(_halves(prod)[::2] >= threshold)[:need]
+            dst = dst[:keep.size]
+            dst[:] = prod[keep]
+            used = keep[-1] + 1 if keep.size == need else halves.size
+        dst >>= 32
+        filled += dst.size
+        has = int(used < halves.size)  # the last word's high half is left
+    return (has, word), skipped
 
-    def draw(size: int) -> np.ndarray:
-        return rng.integers(0, x.size, size=(size, m))
 
-    def reduce(idx: np.ndarray):
-        size = idx.shape[0]
-        c, g, d = cols[:size], gaps[:size], diff[:size]
-        np.take(x, idx, out=c, mode="clip")  # every index is in range
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The low and high 32-bit halves of each 64-bit word, in that order
+    on any host."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _philox_ahead(bg, held: Tuple[int, int], skip: int):
+    """A new Philox positioned ``skip`` half-words past the Philox ``bg``
+    that holds ``held``, and the (has_uint32, uinteger) it then holds.
+    The words in between are not drawn: the counter advances by whole
+    4-word blocks and only the last block is computed."""
+    ahead = np.random.Philox()
+    state = bg.state
+    ahead.state = state
+    has, word = held
+    if skip <= has:  # at most the held half-word is taken
+        return ahead, (has - skip, word)
+    taken = skip - has
+    words = (taken + 1) // 2
+    buffered = 4 - state["buffer_pos"]
+    if words > buffered:
+        blocks = (words - buffered - 1) // 4
+        ahead.advance(blocks)
+        words -= buffered + 4 * blocks
+    last = _halves(ahead.random_raw(words))[-1]
+    return ahead, (taken % 2, int(last))
+
+
+class _RowStream:
+    """Index rows drawn from ``bg`` by _draw_indices, ``held`` being the
+    (has_uint32, uinteger) it holds, and reduced chunk by chunk to their
+    min-pairwise gaps in the buffers that ``block``, rows * (2m + 2)
+    words, holds.  It tallies the gaps below a bracket and the rows that
+    repeat an index, and keeps copies of the gaps inside the bracket;
+    ``skipped`` tells whether a draw skipped a half-word."""
+
+    def __init__(self, x: np.ndarray, m: int, rows: int, bg,
+                 held: Tuple[int, int], block: np.ndarray):
+        self.x, self.m, self.bg, self.held = x, m, bg, held
+        self.skipped = False
+        self.below = self.repeated = 0
+        self.kept: List[np.ndarray] = []
+        self.pairs = list(combinations(range(m), 2))
+        self.idx = block[:rows * m]
+        cols, self.g, self.d = np.split(block[rows * m:].view(np.float64),
+                                        [rows * m, rows * (m + 1)])
+        self.cols = cols.reshape(rows, m)
+
+    def gaps(self, size: int):
+        """The min-pairwise gap of each of the next ``size`` rows, in a
+        buffer that the next call overwrites, and the number of those
+        rows that repeat an index."""
+        flat = self.idx[:size * self.m]
+        self.held, skipped = _draw_indices(self.bg, self.x.size, self.held,
+                                           flat)
+        self.skipped |= skipped
+        idx = flat.view(np.int64).reshape(size, self.m)  # all < 2**32
+        c, g, d = self.cols[:size], self.g[:size], self.d[:size]
+        np.take(self.x, idx, out=c, mode="clip")  # every index is in range
         # the min over all pairs is the min gap of the sorted row bit
         # for bit: rounding is monotone and |a - b| == |b - a| exactly
         np.subtract(c[:, 0], c[:, 1], out=g)
         np.abs(g, out=g)
-        for a, b in pairs[1:]:
+        for a, b in self.pairs[1:]:
             np.subtract(c[:, a], c[:, b], out=d)
             np.abs(d, out=d)
             np.minimum(g, d, out=g)
         # a row that repeats an index has gap 0: only those are checked
-        zero = idx[g == 0.0]
+        zero = idx[np.flatnonzero(g == 0.0)]
         dup = np.zeros(zero.shape[0], dtype=bool)
-        for a, b in pairs:
+        for a, b in self.pairs:
             dup |= zero[:, a] == zero[:, b]
         return g, int(np.count_nonzero(dup))
 
-    if len(sizes) == 1:
-        yield reduce(draw(rows))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(draw, sizes[0])
-        for size in sizes[1:]:
-            idx = ahead.result()
-            ahead = pool.submit(draw, size)
-            yield reduce(idx)
-        yield reduce(ahead.result())
+    def keep(self, gaps: np.ndarray, repeated: int, lo: float, hi: float):
+        inside = gaps >= lo
+        self.below += gaps.size - int(np.count_nonzero(inside))
+        inside &= gaps <= hi
+        self.kept.append(gaps[inside])
+        self.repeated += repeated
+
+    def tally(self, sizes: List[int], lo: float, hi: float):
+        """Draw, reduce and keep chunks of ``sizes`` rows."""
+        for size in sizes:
+            self.keep(*self.gaps(size), lo, hi)
 
 
 def _q_rank(alpha: float, n_subsets: int, repeated: int) -> int:
@@ -392,27 +479,62 @@ def _q_in_bracket(x: np.ndarray, m: int, alpha: float, n_subsets: int,
     count give; with ``sd`` infinite it is unbounded and keeps every gap.
     Each chunk adds to the count of gaps below the bracket and keeps the
     gaps inside it, so only those are partitioned.
+
+    The chunks after the first are split into two runs of consecutive
+    chunks.  On a Philox, a worker thread tallies the second run on a
+    copy positioned where the first run ends if it skips no half-word,
+    while this thread tallies the first run on ``rng``; if the first run
+    did skip one, this thread tallies the second run again from where it
+    really ended.
     """
-    chunks = _gap_chunks(x, m, n_subsets, rng)
-    first, first_repeated = next(chunks)
+    bg = rng.bit_generator
+    state = bg.state
+    rows = min(n_subsets, _Q_CHUNK_ROWS)
+    sizes = [min(rows, n_subsets - s) for s in range(rows, n_subsets, rows)]
+    two = bool(sizes) and isinstance(bg, np.random.Philox)
+    # the buffers of both threads in one allocation: the allocator keeps
+    # a block this size for the next call, where eight separate arrays
+    # went back to the system and were faulted in again (about 1,300
+    # page faults a call)
+    blocks = np.empty((1 + two, rows * (2 * m + 2)), dtype=np.uint64)
+    stream = _RowStream(x, m, rows, bg,
+                        (state["has_uint32"], state["uinteger"]), blocks[0])
+    first, repeated = stream.gaps(rows)
     lo, hi = -inf, inf
     if sd < inf:
         r = first.size
-        p = (first_repeated + alpha * (r - first_repeated)) / r
+        p = (repeated + alpha * (r - repeated)) / r
         half = sd * sqrt(r * p * (1.0 - p))
         ranks = [min(max(int(r * p - half), 0), r - 1),
                  min(ceil(r * p + half), r - 1)]
         lo, hi = np.partition(first, ranks)[ranks]
-    below = repeated = 0
-    kept = []
-    for gaps, rep in chain([(first, first_repeated)], chunks):
-        inside = gaps >= lo
-        below += gaps.size - int(np.count_nonzero(inside))
-        inside &= gaps <= hi
-        kept.append(gaps[inside])
-        repeated += rep
+    stream.keep(first, repeated, lo, hi)
+    streams = [stream]
+    split = len(sizes) // 2
+    if two:
+        from concurrent.futures import ThreadPoolExecutor
+        ahead = _RowStream(x, m, rows, *_philox_ahead(
+            bg, stream.held, sum(sizes[:split]) * m), blocks[1])
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            second = pool.submit(ahead.tally, sizes[split:], lo, hi)
+            stream.skipped = False
+            stream.tally(sizes[:split], lo, hi)
+            redo = stream.skipped  # the copy started too early
+            if redo:
+                stream.tally(sizes[split:], lo, hi)
+            second.result()
+        if not redo:
+            streams.append(ahead)
+    else:
+        stream.tally(sizes, lo, hi)
+    # the end state is the last stream's, holding what it holds
+    state = streams[-1].bg.state
+    state["has_uint32"], state["uinteger"] = streams[-1].held
+    bg.state = state
+    below = sum(s.below for s in streams)
+    repeated = sum(s.repeated for s in streams)
     j = _q_rank(alpha, n_subsets, repeated) - below
-    candidates = np.concatenate(kept)
+    candidates = np.concatenate([k for s in streams for k in s.kept])
     if not 0 <= j < candidates.size:
         return None
     candidates.partition(j)
@@ -425,13 +547,27 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
 
     Stream contract: ``n_subsets`` rows of m indices are drawn uniformly
     from range(n) with replacement, row-major, from ``rng`` (in an
-    experiment, the cell's Philox substream).  Rows with a repeated
+    experiment, the cell's Philox substream), exactly as
+    ``rng.integers(0, n, size=(n_subsets, m))`` draws them: the same
+    values, and the same generator state after.  Rows with a repeated
     index are discarded; among the remaining #distinct rows the estimate
     is the k-th smallest min-pairwise gap, k = max(1, floor(alpha *
-    #distinct)).  The draws are taken in chunks of _Q_CHUNK_ROWS rows,
-    which consumes the same stream as one draw of all rows.  The next
-    chunk is drawn on one worker thread while this one is reduced, so
-    ``rng`` must not be used from another thread during the call.
+    #distinct)).
+
+    The indices are computed from the generator's raw 64-bit words by
+    numpy's rule: each word gives its low, then its high 32-bit half w,
+    and w gives the index (w * n) >> 32 unless (w * n) mod 2**32 is
+    below (2**32 - n) mod n, when w is skipped.  So ``rng`` must wrap
+    one of numpy's PCG64, PCG64DXSM, Philox or SFC64 (ValueError before
+    any draw otherwise).  Rows are drawn and reduced in chunks of
+    _Q_CHUNK_ROWS.  After the first chunk the others are split into two
+    runs.  On a Philox, one worker thread takes the second run on a copy
+    of the generator advanced to where the first run ends if it skips no
+    half-word, and this thread takes the first run.  If the first run
+    did skip one (about 1 call in 5 at n = 1000 and 2,000,000 triples),
+    this thread redoes the second run from the true position.  ``rng`` itself is used by this thread only, and
+    ends in the state one draw of all rows leaves.  Each thread holds
+    one chunk's buffers, some 2 MB at m = 3.
 
     A repeated row's kernel value is exactly 0 on finite input, the
     smallest possible value, so the k-th smallest distinct value is the
@@ -451,6 +587,11 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
         raise ValueError(f"n_subsets must be at least 1, got {n_subsets}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not isinstance(rng.bit_generator, tuple(
+            getattr(np.random, k) for k in _HALF_WORD_GENERATORS)):
+        raise ValueError(f"q_subsampled draws from numpy's PCG64, "
+                         f"PCG64DXSM, Philox or SFC64, got "
+                         f"{type(rng.bit_generator).__name__}")
     if x.size < m:
         # every row would repeat an index; fail before touching the stream
         raise DegenerateVarianceError("no distinct index subsets drawn")

@@ -209,6 +209,34 @@ def test_q_subsampled_replays_the_stream_when_the_bracket_misses(
         assert calls == [(0, None), (float("inf"), want)]
 
 
+def test_q_subsampled_redoes_the_second_run_when_the_first_skips(
+        monkeypatch):
+    # at n = 100,000 about 1.6e-5 of the half-words are skipped, so the
+    # first run of 2 chunks skips one on most seeds (seed 0 among them)
+    # and the worker's run, which assumed it would not, is redone on the
+    # calling thread; seed 7 at m = 2 skips none and keeps the worker's
+    tally, calls = mc._RowStream.tally, []
+
+    def recording(self, sizes, lo, hi):
+        calls.append((threading.current_thread() is threading.main_thread(),
+                      sum(sizes)))
+        return tally(self, sizes, lo, hi)
+
+    monkeypatch.setattr(mc._RowStream, "tally", recording)
+    x = np.random.default_rng(5).standard_normal(100_000)
+    first_run, second_run = 2 * _Q_CHUNK_ROWS, _Q_CHUNK_ROWS + 77
+    for seed, m, redo in ((0, 3, True), (7, 2, False)):
+        old, new = make_rng(seed), make_rng(seed)
+        want = _q_subsampled_two_branch(x, m, 0.5, 4 * _Q_CHUNK_ROWS + 77,
+                                        old)
+        calls.clear()
+        assert q_subsampled(x, m, 0.5, 4 * _Q_CHUNK_ROWS + 77, new) == want
+        assert rng_state(new) == rng_state(old)
+        assert sorted(calls) == sorted(
+            [(True, first_run), (False, second_run)]
+            + [(True, second_run)] * redo)
+
+
 def test_q_subsampled_draws_ahead_on_one_thread_only_past_one_chunk(
         monkeypatch):
     pools = []
@@ -429,6 +457,19 @@ def test_block_types_are_checked_when_built():
         with pytest.raises(ValueError, match=err):
             small_config(**{key: value})
     assert small_config(lrv=None).lrv is None
+
+
+def test_config_containers_are_checked_and_stored_as_tuples():
+    for key, value in (("sample_sizes", 30), ("sample_sizes", "30"),
+                       ("estimators", EstimatorConfig(name="gini"))):
+        with pytest.raises(ValueError, match=f"{key} must be a tuple or list"):
+            small_config(**{key: value})
+    cfg = small_config(sample_sizes=[50, 100],
+                       estimators=[EstimatorConfig(name="gini")])
+    assert cfg.sample_sizes == (50, 100)
+    assert cfg.estimators == (EstimatorConfig(name="gini"),)
+    assert hash(cfg) == hash(small_config(
+        sample_sizes=(50, 100), estimators=(EstimatorConfig(name="gini"),)))
 
 
 def test_to_dict_values_are_pinned():
