@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
-from itertools import chain, combinations
+from itertools import combinations
 from math import ceil, floor, inf, sqrt
 from typing import Dict, List, Optional, Tuple
 
@@ -448,6 +448,7 @@ class _RowStream:
         return g, int(np.count_nonzero(dup))
 
     def keep(self, gaps: np.ndarray, repeated: int, lo: float, hi: float):
+        """Add one chunk's gaps and repeated rows to the tallies."""
         inside = gaps >= lo
         self.below += gaps.size - int(np.count_nonzero(inside))
         inside &= gaps <= hi
@@ -492,10 +493,9 @@ def _q_in_bracket(x: np.ndarray, m: int, alpha: float, n_subsets: int,
     rows = min(n_subsets, _Q_CHUNK_ROWS)
     sizes = [min(rows, n_subsets - s) for s in range(rows, n_subsets, rows)]
     two = bool(sizes) and isinstance(bg, np.random.Philox)
-    # the buffers of both threads in one allocation: the allocator keeps
-    # a block this size for the next call, where eight separate arrays
-    # went back to the system and were faulted in again (about 1,300
-    # page faults a call)
+    # the buffers of both threads in one block, which the allocator keeps
+    # from call to call: separate arrays went back to the system at the
+    # end of a call and were faulted in again (about 1,300 page faults)
     blocks = np.empty((1 + two, rows * (2 * m + 2)), dtype=np.uint64)
     stream = _RowStream(x, m, rows, bg,
                         (state["has_uint32"], state["uinteger"]), blocks[0])
@@ -510,9 +510,9 @@ def _q_in_bracket(x: np.ndarray, m: int, alpha: float, n_subsets: int,
         lo, hi = np.partition(first, ranks)[ranks]
     stream.keep(first, repeated, lo, hi)
     streams = [stream]
-    split = len(sizes) // 2
     if two:
         from concurrent.futures import ThreadPoolExecutor
+        split = len(sizes) // 2
         ahead = _RowStream(x, m, rows, *_philox_ahead(
             bg, stream.held, sum(sizes[:split]) * m), blocks[1])
         with ThreadPoolExecutor(max_workers=1) as pool:
@@ -565,9 +565,10 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
     of the generator advanced to where the first run ends if it skips no
     half-word, and this thread takes the first run.  If the first run
     did skip one (about 1 call in 5 at n = 1000 and 2,000,000 triples),
-    this thread redoes the second run from the true position.  ``rng`` itself is used by this thread only, and
-    ends in the state one draw of all rows leaves.  Each thread holds
-    one chunk's buffers, some 2 MB at m = 3.
+    this thread redoes the second run from the true position.  ``rng``
+    itself is used by this thread only, and ends in the state one draw
+    of all rows leaves.  Each thread holds one chunk's buffers, some
+    2 MB at m = 3.
 
     A repeated row's kernel value is exactly 0 on finite input, the
     smallest possible value, so the k-th smallest distinct value is the
