@@ -104,6 +104,8 @@ class ProcessConfig:
                 raise ValueError(f"process kind 'garch11' needs a garch "
                                  f"block of 3 numbers (alpha0, alpha1, "
                                  f"beta1), got {ga!r}")
+            # a list would leave the frozen config unhashable
+            object.__setattr__(self, "garch", tuple(ga))
             a0, a1, b1 = ga
             if a0 <= 0 or a1 < 0 or b1 < 0:
                 raise ValueError("need alpha0 > 0, alpha1 >= 0, beta1 >= 0")
@@ -328,139 +330,6 @@ def simulate_path(process: ProcessConfig, n: int,
     return _egarch(eg, z)[lead:]  # egarch, the last of PROCESS_KINDS
 
 
-# numpy's bit generators whose next_uint32 hands out the low, then the
-# high half of each 64-bit word, holding the high half in the state's
-# (has_uint32, uinteger); named, as numpy.random loads on first use
-_HALF_WORD_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
-
-
-def _draw_indices(bg, n: int, held: Tuple[int, int], out: np.ndarray):
-    """Fill the uint64 array ``out`` with the values of
-    ``rng.integers(0, n, size=out.size)``, 2 <= n < 2**32, drawn from the
-    64-bit words of ``bg`` (one of _HALF_WORD_GENERATORS) that holds
-    ``held`` = (has_uint32, uinteger).  Return the pair it holds after,
-    and whether a half-word was skipped.
-
-    numpy's rule (Lemire's): the half-words are taken in order, the held
-    one first, then the low and the high half of each new word; a
-    half-word w gives the index (w * n) >> 32 unless its low product
-    (w * n) mod 2**32 is below (2**32 - n) mod n, when it is skipped.
-    Only the words that rule reads are drawn.
-    """
-    threshold = ((1 << 32) - n) % n
-    has, word = held
-    filled, skipped = 0, False
-    while filled < out.size:
-        need = out.size - filled
-        words = bg.random_raw((need - has + 1) // 2)
-        halves = _halves(words)
-        if has:
-            halves = np.concatenate((np.array([word], np.uint32), halves))
-        word = int(halves[-1])
-        dst = out[filled:]
-        np.multiply(halves[:need], n, out=dst, dtype=np.uint64)
-        used = need
-        if threshold and _halves(dst)[::2].min() < threshold:
-            skipped = True
-            prod = np.multiply(halves, n, dtype=np.uint64)
-            keep = np.flatnonzero(_halves(prod)[::2] >= threshold)[:need]
-            dst = dst[:keep.size]
-            dst[:] = prod[keep]
-            used = keep[-1] + 1 if keep.size == need else halves.size
-        dst >>= 32
-        filled += dst.size
-        has = int(used < halves.size)  # the last word's high half is left
-    return (has, word), skipped
-
-
-def _halves(words: np.ndarray) -> np.ndarray:
-    """The low and high 32-bit halves of each 64-bit word, in that order
-    on any host."""
-    return words.astype("<u8", copy=False).view("<u4")
-
-
-def _philox_ahead(bg, held: Tuple[int, int], skip: int):
-    """A new Philox positioned ``skip`` half-words past the Philox ``bg``
-    that holds ``held``, and the (has_uint32, uinteger) it then holds.
-    The words in between are not drawn: the counter advances by whole
-    4-word blocks and only the last block is computed."""
-    ahead = np.random.Philox()
-    state = bg.state
-    ahead.state = state
-    has, word = held
-    if skip <= has:  # at most the held half-word is taken
-        return ahead, (has - skip, word)
-    taken = skip - has
-    words = (taken + 1) // 2
-    buffered = 4 - state["buffer_pos"]
-    if words > buffered:
-        blocks = (words - buffered - 1) // 4
-        ahead.advance(blocks)
-        words -= buffered + 4 * blocks
-    last = _halves(ahead.random_raw(words))[-1]
-    return ahead, (taken % 2, int(last))
-
-
-class _RowStream:
-    """Index rows drawn from ``bg`` by _draw_indices, ``held`` being the
-    (has_uint32, uinteger) it holds, and reduced chunk by chunk to their
-    min-pairwise gaps in the buffers that ``block``, rows * (2m + 2)
-    words, holds.  It tallies the gaps below a bracket and the rows that
-    repeat an index, and keeps copies of the gaps inside the bracket;
-    ``skipped`` tells whether a draw skipped a half-word."""
-
-    def __init__(self, x: np.ndarray, m: int, rows: int, bg,
-                 held: Tuple[int, int], block: np.ndarray):
-        self.x, self.m, self.bg, self.held = x, m, bg, held
-        self.skipped = False
-        self.below = self.repeated = 0
-        self.kept: List[np.ndarray] = []
-        self.pairs = list(combinations(range(m), 2))
-        self.idx = block[:rows * m]
-        cols, self.g, self.d = np.split(block[rows * m:].view(np.float64),
-                                        [rows * m, rows * (m + 1)])
-        self.cols = cols.reshape(rows, m)
-
-    def gaps(self, size: int):
-        """The min-pairwise gap of each of the next ``size`` rows, in a
-        buffer that the next call overwrites, and the number of those
-        rows that repeat an index."""
-        flat = self.idx[:size * self.m]
-        self.held, skipped = _draw_indices(self.bg, self.x.size, self.held,
-                                           flat)
-        self.skipped |= skipped
-        idx = flat.view(np.int64).reshape(size, self.m)  # all < 2**32
-        c, g, d = self.cols[:size], self.g[:size], self.d[:size]
-        np.take(self.x, idx, out=c, mode="clip")  # every index is in range
-        # the min over all pairs is the min gap of the sorted row bit
-        # for bit: rounding is monotone and |a - b| == |b - a| exactly
-        np.subtract(c[:, 0], c[:, 1], out=g)
-        np.abs(g, out=g)
-        for a, b in self.pairs[1:]:
-            np.subtract(c[:, a], c[:, b], out=d)
-            np.abs(d, out=d)
-            np.minimum(g, d, out=g)
-        # a row that repeats an index has gap 0: only those are checked
-        zero = idx[np.flatnonzero(g == 0.0)]
-        dup = np.zeros(zero.shape[0], dtype=bool)
-        for a, b in self.pairs:
-            dup |= zero[:, a] == zero[:, b]
-        return g, int(np.count_nonzero(dup))
-
-    def keep(self, gaps: np.ndarray, repeated: int, lo: float, hi: float):
-        """Add one chunk's gaps and repeated rows to the tallies."""
-        inside = gaps >= lo
-        self.below += gaps.size - int(np.count_nonzero(inside))
-        inside &= gaps <= hi
-        self.kept.append(gaps[inside])
-        self.repeated += repeated
-
-    def tally(self, sizes: List[int], lo: float, hi: float):
-        """Draw, reduce and keep chunks of ``sizes`` rows."""
-        for size in sizes:
-            self.keep(*self.gaps(size), lo, hi)
-
-
 def _q_rank(alpha: float, n_subsets: int, repeated: int) -> int:
     """0-based rank, among all drawn rows, of the k-th smallest gap of
     the distinct rows."""
@@ -480,61 +349,47 @@ def _q_in_bracket(x: np.ndarray, m: int, alpha: float, n_subsets: int,
     count give; with ``sd`` infinite it is unbounded and keeps every gap.
     Each chunk adds to the count of gaps below the bracket and keeps the
     gaps inside it, so only those are partitioned.
-
-    The chunks after the first are split into two runs of consecutive
-    chunks.  On a Philox, a worker thread tallies the second run on a
-    copy positioned where the first run ends if it skips no half-word,
-    while this thread tallies the first run on ``rng``; if the first run
-    did skip one, this thread tallies the second run again from where it
-    really ended.
     """
-    bg = rng.bit_generator
-    state = bg.state
     rows = min(n_subsets, _Q_CHUNK_ROWS)
-    sizes = [min(rows, n_subsets - s) for s in range(rows, n_subsets, rows)]
-    two = bool(sizes) and isinstance(bg, np.random.Philox)
-    # the buffers of both threads in one block, which the allocator keeps
-    # from call to call: separate arrays went back to the system at the
-    # end of a call and were faulted in again (about 1,300 page faults)
-    blocks = np.empty((1 + two, rows * (2 * m + 2)), dtype=np.uint64)
-    stream = _RowStream(x, m, rows, bg,
-                        (state["has_uint32"], state["uinteger"]), blocks[0])
-    first, repeated = stream.gaps(rows)
+    pairs = list(combinations(range(m), 2))
+    # one chunk's columns, gaps and scratch, reused by every chunk
+    cols, g, d = np.split(np.empty(rows * (m + 2)),
+                          [rows * m, rows * (m + 1)])
+    cols = cols.reshape(rows, m)
     lo, hi = -inf, inf
-    if sd < inf:
-        r = first.size
-        p = (repeated + alpha * (r - repeated)) / r
-        half = sd * sqrt(r * p * (1.0 - p))
-        ranks = [min(max(int(r * p - half), 0), r - 1),
-                 min(ceil(r * p + half), r - 1)]
-        lo, hi = np.partition(first, ranks)[ranks]
-    stream.keep(first, repeated, lo, hi)
-    streams = [stream]
-    if two:
-        from concurrent.futures import ThreadPoolExecutor
-        split = len(sizes) // 2
-        ahead = _RowStream(x, m, rows, *_philox_ahead(
-            bg, stream.held, sum(sizes[:split]) * m), blocks[1])
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            second = pool.submit(ahead.tally, sizes[split:], lo, hi)
-            stream.skipped = False
-            stream.tally(sizes[:split], lo, hi)
-            redo = stream.skipped  # the copy started too early
-            if redo:
-                stream.tally(sizes[split:], lo, hi)
-            second.result()
-        if not redo:
-            streams.append(ahead)
-    else:
-        stream.tally(sizes, lo, hi)
-    # the end state is the last stream's, holding what it holds
-    state = streams[-1].bg.state
-    state["has_uint32"], state["uinteger"] = streams[-1].held
-    bg.state = state
-    below = sum(s.below for s in streams)
-    repeated = sum(s.repeated for s in streams)
+    below = repeated = 0
+    kept: List[np.ndarray] = []
+    for start in range(0, n_subsets, rows):
+        size = min(rows, n_subsets - start)
+        idx = rng.integers(0, x.size, size=(size, m))
+        c, gaps, scratch = cols[:size], g[:size], d[:size]
+        np.take(x, idx, out=c, mode="clip")  # every index is in range
+        # the min over all pairs is the min gap of the sorted row bit
+        # for bit: rounding is monotone and |a - b| == |b - a| exactly
+        np.subtract(c[:, 0], c[:, 1], out=gaps)
+        np.abs(gaps, out=gaps)
+        for a, b in pairs[1:]:
+            np.subtract(c[:, a], c[:, b], out=scratch)
+            np.abs(scratch, out=scratch)
+            np.minimum(gaps, scratch, out=gaps)
+        # a row that repeats an index has gap 0: only those are checked
+        zero = idx[np.flatnonzero(gaps == 0.0)]
+        dup = np.zeros(zero.shape[0], dtype=bool)
+        for a, b in pairs:
+            dup |= zero[:, a] == zero[:, b]
+        repeated += int(np.count_nonzero(dup))
+        if start == 0 and sd < inf:
+            p = (repeated + alpha * (size - repeated)) / size
+            half = sd * sqrt(size * p * (1.0 - p))
+            ranks = [min(max(int(size * p - half), 0), size - 1),
+                     min(ceil(size * p + half), size - 1)]
+            lo, hi = np.partition(gaps, ranks)[ranks]
+        inside = gaps >= lo
+        below += size - int(np.count_nonzero(inside))
+        inside &= gaps <= hi
+        kept.append(gaps[inside])
     j = _q_rank(alpha, n_subsets, repeated) - below
-    candidates = np.concatenate([k for s in streams for k in s.kept])
+    candidates = np.concatenate(kept)
     if not 0 <= j < candidates.size:
         return None
     candidates.partition(j)
@@ -554,21 +409,10 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
     is the k-th smallest min-pairwise gap, k = max(1, floor(alpha *
     #distinct)).
 
-    The indices are computed from the generator's raw 64-bit words by
-    numpy's rule: each word gives its low, then its high 32-bit half w,
-    and w gives the index (w * n) >> 32 unless (w * n) mod 2**32 is
-    below (2**32 - n) mod n, when w is skipped.  So ``rng`` must wrap
-    one of numpy's PCG64, PCG64DXSM, Philox or SFC64 (ValueError before
-    any draw otherwise).  Rows are drawn and reduced in chunks of
-    _Q_CHUNK_ROWS.  After the first chunk the others are split into two
-    runs.  On a Philox, one worker thread takes the second run on a copy
-    of the generator advanced to where the first run ends if it skips no
-    half-word, and this thread takes the first run.  If the first run
-    did skip one (about 1 call in 5 at n = 1000 and 2,000,000 triples),
-    this thread redoes the second run from the true position.  ``rng``
-    itself is used by this thread only, and ends in the state one draw
-    of all rows leaves.  Each thread holds one chunk's buffers, some
-    2 MB at m = 3.
+    The rows are drawn by ``rng.integers`` and reduced in chunks of
+    _Q_CHUNK_ROWS, one after the other: consecutive draws continue one
+    stream, so the chunks hold the rows of the single draw.  A call
+    holds one chunk's buffers, some 2 MB at m = 3.
 
     A repeated row's kernel value is exactly 0 on finite input, the
     smallest possible value, so the k-th smallest distinct value is the
@@ -580,19 +424,18 @@ def q_subsampled(sample, m: int, alpha: float, n_subsets: int,
     unbounded bracket, which keeps all n_subsets gaps.
     """
     x = as_sample(sample)
+    if not is_number(m, integral=True):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     if not is_number(n_subsets, integral=True):
         raise ValueError(f"n_subsets must be an integer, got {n_subsets!r}")
     if n_subsets < 1:
         raise ValueError(f"n_subsets must be at least 1, got {n_subsets}")
+    if not is_number(alpha):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not isinstance(rng.bit_generator, tuple(
-            getattr(np.random, k) for k in _HALF_WORD_GENERATORS)):
-        raise ValueError(f"q_subsampled draws from numpy's PCG64, "
-                         f"PCG64DXSM, Philox or SFC64, got "
-                         f"{type(rng.bit_generator).__name__}")
     if x.size < m:
         # every row would repeat an index; fail before touching the stream
         raise DegenerateVarianceError("no distinct index subsets drawn")
@@ -718,22 +561,40 @@ def _run_cell(config: ExperimentConfig, est: EstimatorConfig, n: int,
     spec = (gl_spec(est.name, est)
             if config.lrv is not None and not cell.subsampled else None)
     intervals: List[Tuple[float, float]] = []
-    for rep in range(r):
-        rng = _cell_rng(config.seed, est.label, n, rep)
-        path = simulate_path(config.process, n, rng)
-        if spec is None:
-            estimates[rep] = apply_estimator(est, path, rng)
-            continue
-        # the interval's own T(H_n) is the estimate (== the catalog
-        # estimator's), so H_n is built once per replication
-        try:
-            plugin = build_plugin(path, spec, config.lrv)
-        except (GlstatError, ValueError):
-            apply_estimator(est, path, rng)  # its own error text first
-            raise
-        estimates[rep] = plugin.estimate
-        intervals.append(gl_confidence_interval(
-            path, spec, config.lrv, level=config.ci_level, plugin=plugin))
+
+    def run(reps) -> None:
+        for rep in reps:
+            rng = _cell_rng(config.seed, est.label, n, rep)
+            path = simulate_path(config.process, n, rng)
+            if spec is None:
+                estimates[rep] = apply_estimator(est, path, rng)
+                continue
+            # the interval's own T(H_n) is the estimate (== the catalog
+            # estimator's), so H_n is built once per replication
+            try:
+                plugin = build_plugin(path, spec, config.lrv)
+            except (GlstatError, ValueError):
+                apply_estimator(est, path, rng)  # its own error text first
+                raise
+            estimates[rep] = plugin.estimate
+            intervals.append(gl_confidence_interval(
+                path, spec, config.lrv, level=config.ci_level,
+                plugin=plugin))
+
+    if cell.subsampled:
+        # each replication has its own substream, so one worker thread
+        # runs the second half while this thread runs the first: q_sub
+        # spends its time in numpy calls that release the GIL, the other
+        # cells in Python code that would only contend for it.  An error
+        # of the first half is raised first, as a loop in replication
+        # order would raise it
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            second = pool.submit(run, range(r // 2, r))
+            run(range(r // 2))
+        second.result()
+    else:
+        run(range(r))
     cell.estimates = estimates
     cell.qq = qq_points(estimates)
     cell.summary = normality_summary(estimates, cell.qq)

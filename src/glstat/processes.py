@@ -95,6 +95,8 @@ class EgarchParams:
                 if not is_number(a):
                     raise ValueError(f"EGARCH {f.name} must be a real "
                                      f"number, got {a!r}")
+            if lags:  # a list would leave the frozen params unhashable
+                object.__setattr__(self, f.name, tuple(v))
         if len(self.alpha) < 1 or len(self.beta) < 1:
             raise ValueError("EGARCH needs p >= 1 and q >= 1")
         if not abs(self.beta_sum) < 1.0:

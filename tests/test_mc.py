@@ -14,6 +14,7 @@ from min_pairwise_oracle import Triples
 import glstat.lrv
 from glstat import (
     BandwidthPolicy,
+    EgarchParams,
     EstimatorConfig,
     ExperimentConfig,
     LrvConfig,
@@ -162,20 +163,25 @@ def rng_state(rng):
     return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist())
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_q_subsampled_bit_identical_to_two_branch_routine(m):
+# Philox, every experiment's generator, is the case named by m alone
+@pytest.mark.parametrize("m, bit_generator", [
+    pytest.param(m, bg, id=str(m) if bg == "Philox" else f"{m}-{bg}")
+    for bg in ("Philox", "PCG64", "MT19937") for m in (2, 3, 4)])
+def test_q_subsampled_bit_identical_to_two_branch_routine(m, bit_generator):
     # tied data (small integers), n = m where most rows repeat an index,
     # one partial chunk, a run that ends inside a chunk, a run long
     # enough to select from the first chunk's bracket, extreme alphas,
-    # and an RNG whose Philox buffer holds half a word from an earlier
-    # int32 draw
+    # and an RNG whose buffer holds half a word from an earlier int32
+    # draw; any numpy bit generator, MT19937 (32-bit words) among them
     tied = np.random.default_rng(107).integers(0, 6, size=40).astype(float)
     for x in (tied, tied[:m]):
         for n_subsets in (1000, 2 * _Q_CHUNK_ROWS + 77,
                           4 * _Q_CHUNK_ROWS + 77):
             for warm in (False, True):
                 for alpha in (0.01, 0.2, 0.5, 0.99):
-                    old, new = make_rng(m), make_rng(m)
+                    old, new = (np.random.Generator(getattr(
+                        np.random, bit_generator)(np.random.SeedSequence(m)))
+                        for _ in range(2))
                     if warm:
                         old.integers(0, 10, dtype=np.int32)
                         new.integers(0, 10, dtype=np.int32)
@@ -209,54 +215,6 @@ def test_q_subsampled_replays_the_stream_when_the_bracket_misses(
         assert calls == [(0, None), (float("inf"), want)]
 
 
-def test_q_subsampled_redoes_the_second_run_when_the_first_skips(
-        monkeypatch):
-    # at n = 100,000 about 1.6e-5 of the half-words are skipped, so the
-    # first run of 2 chunks skips one on most seeds (seed 0 among them)
-    # and the worker's run, which assumed it would not, is redone on the
-    # calling thread; seed 7 at m = 2 skips none and keeps the worker's
-    tally, calls = mc._RowStream.tally, []
-
-    def recording(self, sizes, lo, hi):
-        calls.append((threading.current_thread() is threading.main_thread(),
-                      sum(sizes)))
-        return tally(self, sizes, lo, hi)
-
-    monkeypatch.setattr(mc._RowStream, "tally", recording)
-    x = np.random.default_rng(5).standard_normal(100_000)
-    first_run, second_run = 2 * _Q_CHUNK_ROWS, _Q_CHUNK_ROWS + 77
-    for seed, m, redo in ((0, 3, True), (7, 2, False)):
-        old, new = make_rng(seed), make_rng(seed)
-        want = _q_subsampled_two_branch(x, m, 0.5, 4 * _Q_CHUNK_ROWS + 77,
-                                        old)
-        calls.clear()
-        assert q_subsampled(x, m, 0.5, 4 * _Q_CHUNK_ROWS + 77, new) == want
-        assert rng_state(new) == rng_state(old)
-        assert sorted(calls) == sorted(
-            [(True, first_run), (False, second_run)]
-            + [(True, second_run)] * redo)
-
-
-def test_q_subsampled_draws_ahead_on_one_thread_only_past_one_chunk(
-        monkeypatch):
-    pools = []
-
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        RecordingPool)
-    x = np.arange(50.0)
-    threads = threading.active_count()
-    q_subsampled(x, 3, 0.5, _Q_CHUNK_ROWS, make_rng(1))
-    assert pools == []
-    q_subsampled(x, 3, 0.5, _Q_CHUNK_ROWS + 1, make_rng(1))
-    assert pools == [1]
-    assert threading.active_count() == threads
-
-
 # float.hex of q_subsampled on numpy's standard normals from a fixed
 # seed, computed by the routine that drew one chunk at a time on the
 # calling thread and partitioned all n_subsets gaps
@@ -286,6 +244,8 @@ def test_q_subsampled_golden_values(m, n_subsets):
     (3, 0.5, 100, [0.3, float("nan"), 1.2, 2.0]),
     (3, 0.5, 2.5, None),
     (3, 0.5, True, None),  # JSON true is not one subset
+    (2.5, 0.5, 100, None),  # m is not truncated to 2
+    (3, "0.5", 100, None),
 ])
 def test_q_subsampled_rejects_bad_arguments_before_drawing(
         m, alpha, n_subsets, sample):
@@ -470,6 +430,26 @@ def test_config_containers_are_checked_and_stored_as_tuples():
     assert cfg.estimators == (EstimatorConfig(name="gini"),)
     assert hash(cfg) == hash(small_config(
         sample_sizes=(50, 100), estimators=(EstimatorConfig(name="gini"),)))
+
+
+def test_lag_and_garch_lists_are_stored_as_tuples():
+    # a list from Python would leave the frozen params unhashable
+    eg = dict(alpha0=0.0, theta=0.9, lam=0.1)
+    eg_list = EgarchParams(alpha=[0.2], beta=[0.05], **eg)
+    eg_tuple = EgarchParams(alpha=(0.2,), beta=(0.05,), **eg)
+    garch_list = ProcessConfig(kind="garch11", garch=[0.1, 0.1, 0.8])
+    garch_tuple = ProcessConfig(kind="garch11", garch=(0.1, 0.1, 0.8))
+    egarch_list = ProcessConfig(kind="egarch", rho=0.8, egarch=eg_list,
+                                innovation_kind="ar1")
+    for built, want in ((eg_list, eg_tuple), (garch_list, garch_tuple),
+                        (egarch_list, egarch_scenario(1))):
+        assert built == want and hash(built) == hash(want)
+    for built, want in ((garch_list, garch_tuple),
+                        (egarch_list, egarch_scenario(1))):
+        assert built.to_dict() == want.to_dict()
+        assert (small_config(process=built).to_json()
+                == small_config(process=want).to_json())
+    assert garch_list.to_dict()["garch"] == [0.1, 0.1, 0.8]
 
 
 def test_to_dict_values_are_pinned():
@@ -671,6 +651,77 @@ def test_degenerate_cell_is_recorded_not_raised():
     assert cell.error == ("DegenerateVarianceError: no distinct index "
                           "subsets drawn")
     assert cell.estimates is None
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_q_sub_cell_halves_equal_an_in_order_recomputation(r):
+    # the two halves of the replications run on two threads; each
+    # estimate is still that of its own substream, over several chunks
+    est = EstimatorConfig(name="q", subsample=2 * _Q_CHUNK_ROWS + 77)
+    cfg = small_config(process=egarch_scenario(1), estimators=(est,),
+                       sample_sizes=(80,), replications=r)
+    cell = run_experiment(cfg).cells[("q_sub", 80)]
+    assert cell.error is None and cell.estimates.shape == (r,)
+    for rep in range(r):
+        rng = mc._cell_rng(cfg.seed, "q_sub", 80, rep)
+        path = simulate_path(cfg.process, 80, rng)
+        assert cell.estimates[rep] == apply_estimator(est, path, rng)
+
+
+@pytest.mark.parametrize("failing, recorded", [((1, 3), 1), ((3,), 3),
+                                               ((2, 3), 2)])
+def test_q_sub_cell_records_the_first_failing_replication(
+        monkeypatch, failing, recorded):
+    # replications 0-1 run on this thread, 2-3 on the worker: the cell
+    # records the error a loop in replication order would raise
+    cell_rng, reps = mc._cell_rng, {}
+
+    def keyed(seed, label, n, rep):
+        rng = cell_rng(seed, label, n, rep)
+        reps[id(rng)] = rep
+        return rng
+
+    def apply(est, path, rng):
+        rep = reps[id(rng)]
+        if rep in failing:
+            raise DegenerateVarianceError(f"replication {rep}")
+        return float(rep)
+
+    monkeypatch.setattr(mc, "_cell_rng", keyed)
+    monkeypatch.setattr(mc, "apply_estimator", apply)
+    threads = threading.active_count()
+    report = run_experiment(small_config(
+        estimators=(EstimatorConfig(name="q", subsample=100),),
+        sample_sizes=(30,), replications=4))
+    cell = report.cells[("q_sub", 30)]
+    assert cell.error == f"DegenerateVarianceError: replication {recorded}"
+    assert cell.estimates is None
+    assert threading.active_count() == threads
+
+
+def test_one_worker_thread_per_q_sub_cell_only(monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
+    threads = threading.active_count()
+    serial = (EstimatorConfig(name="gini"), EstimatorConfig(name="lms"),
+              EstimatorConfig(name="c", alpha=0.25), EstimatorConfig(name="q"))
+    run_experiment(small_config(estimators=serial, replications=4))
+    run_experiment(small_config(  # interval (spec) cells
+        estimators=(EstimatorConfig(name="gini"), EstimatorConfig(name="q")),
+        sample_sizes=(30,), replications=4, lrv=LrvConfig()))
+    assert pools == []
+    run_experiment(small_config(
+        estimators=(*serial, EstimatorConfig(name="q", subsample=1000)),
+        replications=4))
+    assert pools == [1, 1]  # one pool of one worker per q_sub cell
+    assert threading.active_count() == threads
 
 
 def test_constant_cell_is_a_degenerate_variance(monkeypatch):
