@@ -356,38 +356,48 @@ def _q_in_bracket(x: np.ndarray, m: int, alpha: float, n_subsets: int,
     cols, g, d = np.split(np.empty(rows * (m + 2)),
                           [rows * m, rows * (m + 1)])
     cols = cols.reshape(rows, m)
+
+    def gaps(size: int):
+        """The min-pairwise gap of each of the next ``size`` rows, in a
+        buffer that the next call overwrites, and the number of those
+        rows that repeat an index.  The indices are freed on return,
+        before the next chunk is drawn: holding two chunks' indices at
+        once left the heap of a worker thread about 2 MB larger."""
+        idx = rng.integers(0, x.size, size=(size, m))
+        c, gs, scratch = cols[:size], g[:size], d[:size]
+        np.take(x, idx, out=c, mode="clip")  # every index is in range
+        # the min over all pairs is the min gap of the sorted row bit
+        # for bit: rounding is monotone and |a - b| == |b - a| exactly
+        np.subtract(c[:, 0], c[:, 1], out=gs)
+        np.abs(gs, out=gs)
+        for a, b in pairs[1:]:
+            np.subtract(c[:, a], c[:, b], out=scratch)
+            np.abs(scratch, out=scratch)
+            np.minimum(gs, scratch, out=gs)
+        # a row that repeats an index has gap 0: only those are checked
+        zero = idx[np.flatnonzero(gs == 0.0)]
+        dup = np.zeros(zero.shape[0], dtype=bool)
+        for a, b in pairs:
+            dup |= zero[:, a] == zero[:, b]
+        return gs, int(np.count_nonzero(dup))
+
     lo, hi = -inf, inf
     below = repeated = 0
     kept: List[np.ndarray] = []
     for start in range(0, n_subsets, rows):
-        size = min(rows, n_subsets - start)
-        idx = rng.integers(0, x.size, size=(size, m))
-        c, gaps, scratch = cols[:size], g[:size], d[:size]
-        np.take(x, idx, out=c, mode="clip")  # every index is in range
-        # the min over all pairs is the min gap of the sorted row bit
-        # for bit: rounding is monotone and |a - b| == |b - a| exactly
-        np.subtract(c[:, 0], c[:, 1], out=gaps)
-        np.abs(gaps, out=gaps)
-        for a, b in pairs[1:]:
-            np.subtract(c[:, a], c[:, b], out=scratch)
-            np.abs(scratch, out=scratch)
-            np.minimum(gaps, scratch, out=gaps)
-        # a row that repeats an index has gap 0: only those are checked
-        zero = idx[np.flatnonzero(gaps == 0.0)]
-        dup = np.zeros(zero.shape[0], dtype=bool)
-        for a, b in pairs:
-            dup |= zero[:, a] == zero[:, b]
-        repeated += int(np.count_nonzero(dup))
+        chunk, dup = gaps(min(rows, n_subsets - start))
+        repeated += dup
         if start == 0 and sd < inf:
-            p = (repeated + alpha * (size - repeated)) / size
-            half = sd * sqrt(size * p * (1.0 - p))
-            ranks = [min(max(int(size * p - half), 0), size - 1),
-                     min(ceil(size * p + half), size - 1)]
-            lo, hi = np.partition(gaps, ranks)[ranks]
-        inside = gaps >= lo
-        below += size - int(np.count_nonzero(inside))
-        inside &= gaps <= hi
-        kept.append(gaps[inside])
+            r = chunk.size
+            p = (repeated + alpha * (r - repeated)) / r
+            half = sd * sqrt(r * p * (1.0 - p))
+            ranks = [min(max(int(r * p - half), 0), r - 1),
+                     min(ceil(r * p + half), r - 1)]
+            lo, hi = np.partition(chunk, ranks)[ranks]
+        inside = chunk >= lo
+        below += chunk.size - int(np.count_nonzero(inside))
+        inside &= chunk <= hi
+        kept.append(chunk[inside])
     j = _q_rank(alpha, n_subsets, repeated) - below
     candidates = np.concatenate(kept)
     if not 0 <= j < candidates.size:
