@@ -97,6 +97,8 @@ class ProcessConfig:
         if not abs(self.rho) < 1.0:
             raise StationarityError(
                 f"AR(1) requires |rho| < 1, got {self.rho}")
+        if isinstance(self.garch, list):  # unhashable in a frozen config
+            object.__setattr__(self, "garch", tuple(self.garch))
         if self.kind == "garch11":
             ga = self.garch
             if not (isinstance(ga, (tuple, list)) and len(ga) == 3
@@ -104,8 +106,6 @@ class ProcessConfig:
                 raise ValueError(f"process kind 'garch11' needs a garch "
                                  f"block of 3 numbers (alpha0, alpha1, "
                                  f"beta1), got {ga!r}")
-            # a list would leave the frozen config unhashable
-            object.__setattr__(self, "garch", tuple(ga))
             a0, a1, b1 = ga
             if a0 <= 0 or a1 < 0 or b1 < 0:
                 raise ValueError("need alpha0 > 0, alpha1 >= 0, beta1 >= 0")

@@ -439,6 +439,9 @@ def test_lag_and_garch_lists_are_stored_as_tuples():
     eg_tuple = EgarchParams(alpha=(0.2,), beta=(0.05,), **eg)
     garch_list = ProcessConfig(kind="garch11", garch=[0.1, 0.1, 0.8])
     garch_tuple = ProcessConfig(kind="garch11", garch=(0.1, 0.1, 0.8))
+    # a garch block that the kind does not read is kept, as a tuple too
+    assert hash(ProcessConfig(kind="ar1", garch=[0.1, 0.1, 0.8])) == hash(
+        ProcessConfig(kind="ar1", garch=(0.1, 0.1, 0.8)))
     egarch_list = ProcessConfig(kind="egarch", rho=0.8, egarch=eg_list,
                                 innovation_kind="ar1")
     for built, want in ((eg_list, eg_tuple), (garch_list, garch_tuple),
