@@ -62,7 +62,6 @@ from .ustat import (
     g1_hat_all,
     kernel_values,
     u_distribution,
-    u_quantile,
     u_statistic,
 )
 

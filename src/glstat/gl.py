@@ -23,7 +23,6 @@ from .ustat import (
     as_sample,
     kernel_values,
     u_distribution,
-    u_quantile,
     u_statistic,
 )
 
@@ -134,23 +133,18 @@ def gl_statistic(sample, spec: GLSpec,
 # --- named estimator catalog ----------------------------------------------
 
 def estimator_gini(sample) -> float:
-    """Gini's mean difference, the U-statistic of |x - y|, by the
-    O(n log n) order-statistic identity of u_statistic."""
-    x = as_sample(sample)
-    if x.size < 2:
-        raise InsufficientDataError("Gini's mean difference needs n >= 2")
-    return u_statistic(x, GINI_ABS_DIFF)
+    """Gini's mean difference, T(H_n) of ``gini_gl_spec()``: the
+    U-statistic of |x - y| by the O(n log n) order-statistic identity
+    of u_statistic."""
+    return gl_statistic(sample, gini_gl_spec())
 
 
 def estimator_q(sample, m: int = 3, alpha: float = 0.5) -> float:
-    """Q_n^alpha: the k-th smallest min-pairwise kernel value with
-    k = max(1, floor(alpha * C(n, m))), selected by counting
-    (MinPairwiseCounts) without enumerating the C(n, m) values."""
-    x = as_sample(sample)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return u_quantile(x, builtin_kernel("min_pairwise", {"m": m}), alpha,
-                      convention="floor_bracket")
+    """Q_n^alpha, T(H_n) of ``q_gl_spec(m, alpha)``: the k-th smallest
+    min-pairwise kernel value with k = max(1, floor(alpha * C(n, m))),
+    selected by counting (MinPairwiseCounts) without enumerating the
+    C(n, m) values."""
+    return gl_statistic(sample, q_gl_spec(m, alpha))
 
 
 def estimator_c(sample, alpha: float, c_alpha: float = 1.0) -> float:
@@ -207,6 +201,8 @@ def q_gl_spec(m: int = 3, alpha: float = 0.5) -> GLSpec:
     """GL form of Q_n^alpha: min-pairwise kernel, J == 0, d = 1, a_1 = 1,
     quantile index max(1, floor(alpha * C(n, m))) via the floor-bracket
     convention (exactly the printed [alpha C(n, m)] order statistic)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return GLSpec(kernel=builtin_kernel("min_pairwise", {"m": m}),
                   discrete=((1.0, alpha),),
                   quantile_convention="floor_bracket")
@@ -226,7 +222,6 @@ class CatalogEntry(NamedTuple):
 # harness read, in the order the CLI lists the names
 ESTIMATORS = {
     "gini": CatalogEntry(estimator_gini, (), gini_gl_spec),
-    "gini_os": CatalogEntry(estimator_gini, (), gini_gl_spec),
     "q": CatalogEntry(estimator_q, ("m", "alpha"), q_gl_spec),
     "c": CatalogEntry(estimator_c, ("alpha", "c_alpha"), None),
     "lms": CatalogEntry(estimator_lms, (), None),

@@ -153,9 +153,9 @@ def egarch_scenario(number: int) -> ProcessConfig:
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Catalog estimator with its options.  ``subsample``, an integer
-    >= 0, switches the Q estimator when > 0 to a seeded
-    incomplete-U-statistic mode with that many random index subsets per
-    replication."""
+    >= 0 and 0 for every estimator but Q, switches Q when > 0 to a
+    seeded incomplete-U-statistic mode with that many random index
+    subsets per replication."""
 
     name: str  # a name in gl.ESTIMATORS
     m: int = 3
@@ -173,6 +173,9 @@ class EstimatorConfig:
                 and self.subsample >= 0):
             raise ValueError(f"subsample must be an integer >= 0, "
                              f"got {self.subsample!r}")
+        if self.subsample and self.name != "q":
+            raise ValueError(f"subsample is read by the q estimator only, "
+                             f"got {self.subsample!r} for {self.name!r}")
         if not is_number(self.m, integral=True):
             raise ValueError(f"m must be an integer, got {self.m!r}")
         for what in ("alpha", "c_alpha"):
@@ -182,9 +185,7 @@ class EstimatorConfig:
 
     @property
     def label(self) -> str:
-        if self.name == "q" and self.subsample > 0:
-            return "q_sub"
-        return self.name
+        return "q_sub" if self.subsample else self.name
 
     @staticmethod
     def from_dict(d: dict) -> "EstimatorConfig":
@@ -231,6 +232,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not isinstance(v, (tuple, list)):
                 raise ValueError(f"{name} must be a tuple or list, got {v!r}")
+            if not v:
+                raise ValueError(f"{name} must not be empty")
             object.__setattr__(self, name, tuple(v))
         # from Python, a dict in place of a block would fail only in a cell
         blocks = [("process", self.process, ProcessConfig),
@@ -259,11 +262,14 @@ class ExperimentConfig:
                 and 0.0 < self.ci_level < 1.0):
             raise ValueError(f"ci_level must be in (0, 1), "
                              f"got {self.ci_level!r}")
-        # labels key the cells, the report file names and the RNG streams
-        labels = [e.label for e in self.estimators]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ValueError(f"duplicate estimator label {label!r}")
+        # (label, n) keys the cells, the report file names and the RNG
+        # streams
+        for what, keys in (("estimator label",
+                            [e.label for e in self.estimators]),
+                           ("sample size", self.sample_sizes)):
+            for key in keys:
+                if keys.count(key) > 1:
+                    raise ValueError(f"duplicate {what} {key!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -579,13 +585,9 @@ def _run_cell(config: ExperimentConfig, est: EstimatorConfig, n: int,
             if spec is None:
                 estimates[rep] = apply_estimator(est, path, rng)
                 continue
-            # the interval's own T(H_n) is the estimate (== the catalog
-            # estimator's), so H_n is built once per replication
-            try:
-                plugin = build_plugin(path, spec, config.lrv)
-            except (GlstatError, ValueError):
-                apply_estimator(est, path, rng)  # its own error text first
-                raise
+            # the catalog estimate is the interval's own T(H_n), so H_n
+            # is built once per replication
+            plugin = build_plugin(path, spec, config.lrv)
             estimates[rep] = plugin.estimate
             intervals.append(gl_confidence_interval(
                 path, spec, config.lrv, level=config.ci_level,

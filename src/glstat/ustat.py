@@ -565,12 +565,6 @@ def u_distribution(sample, kernel: KernelSpec) -> UDistribution:
     return kernel_values(x, kernel)
 
 
-def u_quantile(sample, kernel: KernelSpec, p: float,
-               convention: str = "ceil") -> float:
-    """H_n^{-1}(p); see _rank for the conventions."""
-    return u_distribution(sample, kernel).quantile(p, convention)
-
-
 # --- empirical first Hoeffding projection ---------------------------------
 
 def tail_sums(x: np.ndarray, kernel: KernelSpec,
@@ -615,9 +609,12 @@ def g1_hat_all(sample, kernel: KernelSpec) -> np.ndarray:
     inner sums run over the full sample and do not exclude any index whose
     value equals x.  The inner sums come from tail_sums and the outer
     sum is C(n, m) U_n, so a kernel with a closed form enumerates no
-    kernel value.  For the closed-form min-pairwise kernel with m = 3, a
-    tail holding the point itself scores 0, so the tail sums count every
-    m-subset once per member and the outer sum is their total over m.
+    kernel value, and ghat_1 = (S - C(n, m-1) U_n) / d1: the expression
+    of lrv.a1_hat_all for J == 1, so the U-statistic LRV is the J == 1
+    GL LRV bit for bit.  The one exception is the closed-form
+    min-pairwise kernel with m = 3: a tail holding the point itself
+    scores 0, so the tail sums count every m-subset once per member and
+    the outer sum is their total over m, with no separate U_n pass.
     Any other kernel, min-pairwise m = 2 included (it is |x - y| and
     takes the Gini path), takes U_n first, so one that enumerates raises
     CapacityError before its tails are enumerated.
@@ -625,11 +622,9 @@ def g1_hat_all(sample, kernel: KernelSpec) -> np.ndarray:
     x = as_sample(sample)
     n, m = x.size, kernel.m
     _require_n(x, m)
-    d1, d2 = float(comb(n, m - 1)), float(comb(n, m))
+    d1 = float(comb(n, m - 1))
     if kernel is MIN_PAIRWISE.get(3):
         tails = tail_sums(x, kernel, None)
-        total = float(np.sum(tails)) / m
-    else:
-        total = comb(n, m) * u_statistic(x, kernel)
-        tails = tail_sums(x, kernel, None)
-    return tails / d1 - total / d2
+        return tails / d1 - float(np.sum(tails)) / m / float(comb(n, m))
+    u = u_statistic(x, kernel)
+    return (tail_sums(x, kernel, None) - comb(n, m - 1) * u) / d1

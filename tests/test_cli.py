@@ -149,15 +149,14 @@ def test_estimate_gini(three_csv, capsys):
     assert capsys.readouterr().out.strip() == "1.3333333333333333"
 
 
-@pytest.mark.parametrize("name", ["gini", "gini_os"])
-def test_estimate_gini_at_study_size(tmp_path, capsys, name):
+def test_estimate_gini_at_study_size(tmp_path, capsys):
     # C(15000, 2) pairs would exceed the enumeration cap; estimate, lrv
-    # and ci all take the O(n log n) route under both names
+    # and ci all take the O(n log n) route
     n = 15000
     x = np.random.default_rng(113).standard_normal(n)
     p = tmp_path / "g.csv"
     p.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x))
-    assert run_cli(["estimate", "--estimator", name, "--input", str(p)]) == 0
+    assert run_cli(["estimate", "--estimator", "gini", "--input", str(p)]) == 0
     # prefix sums over the sorted sample: sum over j of
     # (j x_(j) - sum_{i<j} x_(i)), over the number of pairs
     xs = np.sort(x)
@@ -174,11 +173,11 @@ def test_estimate_gini_at_study_size(tmp_path, capsys, name):
     sigma2 = np.dot(a1, a1) / n
     for r in range(1, b):
         sigma2 += 2.0 * (1.0 - r / b) * np.dot(a1[:-r], a1[r:]) / n
-    assert run_cli(["lrv", "--estimator", name, "--input", str(p)]) == 0
+    assert run_cli(["lrv", "--estimator", "gini", "--input", str(p)]) == 0
     fields = dict(f.split("=") for f in capsys.readouterr().out.split())
     assert float(fields["sigma2_gl"]) == pytest.approx(sigma2, rel=1e-9)
     assert float(fields["bandwidth"]) == b
-    assert run_cli(["ci", "--estimator", name, "--input", str(p)]) == 0
+    assert run_cli(["ci", "--estimator", "gini", "--input", str(p)]) == 0
     lo, hi = map(float, capsys.readouterr().out.split(","))
     half = 1.959963984540054 * 2.0 * np.sqrt(sigma2 / n)
     assert lo == pytest.approx(want - half, rel=1e-9)
@@ -189,7 +188,7 @@ def test_estimate_gini_at_study_size(tmp_path, capsys, name):
 def test_estimator_catalog(name):
     # estimate takes every catalog name; lrv and ci take exactly those
     # with a GL spec, whose statistic is the point estimate itself
-    has_spec = name in ("gini", "gini_os", "q")
+    has_spec = name in ("gini", "q")
     flags = ["--estimator", name, "--input", "s.csv", "--m", "4",
              "--alpha", "0.25"]
     parser = _build_parser()
@@ -205,7 +204,6 @@ def test_estimator_catalog(name):
     # from an experiment's config alike
     x = np.random.default_rng(163).standard_normal(30)
     want = {"gini": lambda: estimator_gini(x),
-            "gini_os": lambda: estimator_gini(x),
             "q": lambda: estimator_q(x, m=4, alpha=0.25),
             "c": lambda: estimator_c(x, alpha=0.25, c_alpha=2.0),
             "lms": lambda: estimator_lms(x)}[name]()
@@ -564,10 +562,19 @@ def test_experiment_command_rejects_duplicate_labels(tmp_path, capsys):
     assert "replications must be an integer, got 8.9" in (
         capsys.readouterr().err)
     assert not out.exists()
-    # so do an unknown estimator name, a level outside (0, 1), and a
-    # process of unknown kind or with a non-integral burn-in
+    # so do an unknown estimator name (gini_os too), a subsample of an
+    # estimator other than q, no estimator or sample size, a repeated
+    # sample size, a level outside (0, 1), and a process of unknown kind
+    # or with a non-integral burn-in
     for key, value, err in (
             ("estimators", [{"name": "ginni"}], "unknown estimator 'ginni'"),
+            ("estimators", [{"name": "gini_os"}],
+             "unknown estimator 'gini_os'"),
+            ("estimators", [{"name": "gini", "subsample": 1000}],
+             "subsample is read by the q estimator only"),
+            ("estimators", [], "estimators must not be empty"),
+            ("sample_sizes", [], "sample_sizes must not be empty"),
+            ("sample_sizes", [50, 50], "duplicate sample size 50"),
             ("ci_level", 1.5, "ci_level must be in (0, 1), got 1.5"),
             ("process", {"kind": "egarc"}, "unknown process kind 'egarc'"),
             ("process", dict(egarch_scenario(1).to_dict(), burn_in=500.5),
@@ -846,10 +853,21 @@ def test_lrv_needs_an_estimator_or_a_kernel(three_csv, capsys):
         "", "error: lrv needs either --estimator or --kernel\n")
 
 
+def test_q_alpha_outside_the_unit_interval(three_csv, capsys):
+    # estimate, lrv and ci build the same spec, so they fail alike
+    for command in ("estimate", "lrv", "ci"):
+        assert run_cli([command, "--estimator", "q", "--alpha", "1.5",
+                        "--input", three_csv]) == 1
+        assert capsys.readouterr() == (
+            "", "error: alpha must be in (0, 1), got 1.5\n")
+
+
 def test_exit_code_2_on_usage_error(three_csv):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["estimate", "--estimator", "bogus", "--input", three_csv])
-    assert exc.value.code == 2
+    # gini_os was an alias of gini
+    for name in ("bogus", "gini_os"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["estimate", "--estimator", name, "--input", three_csv])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run_cli([])
     assert exc.value.code == 2

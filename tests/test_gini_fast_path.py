@@ -31,7 +31,6 @@ from glstat import (
     gl_statistic,
     lrv_gl,
     u_distribution,
-    u_quantile,
     u_statistic,
 )
 from glstat.kernels import GINI_ABS_DIFF
@@ -112,12 +111,12 @@ def test_gini_kernel_h_n_is_counted(raw, tied, p, conv):
     values = np.abs(x[:, None] - x[None, :]).ravel()
     ts = np.concatenate((values, values + 0.25, [-1.0]))
     want_cdf = [u_distribution(x, ENUM_ABS_DIFF).cdf(t) for t in ts]
-    want_q = u_quantile(x, ENUM_ABS_DIFF, p, conv)
+    want_q = u_distribution(x, ENUM_ABS_DIFF).quantile(p, conv)
     want_gl = gl_statistic(x, slow)
     with mock.patch("glstat.ustat.eval_kernel_rows",
                     side_effect=AssertionError("kernel enumerated")):
         assert isinstance(u_distribution(x, GINI_ABS_DIFF), MinPairwiseCounts)
         assert ([u_distribution(x, GINI_ABS_DIFF).cdf(t) for t in ts]
                 == want_cdf)
-        assert u_quantile(x, GINI_ABS_DIFF, p, conv) == want_q
+        assert u_distribution(x, GINI_ABS_DIFF).quantile(p, conv) == want_q
         assert gl_statistic(x, fast) == want_gl

@@ -143,12 +143,19 @@ def test_lms_constant_matches_normal_quartile():
 
 
 def test_input_validation():
-    with pytest.raises(InsufficientDataError):
+    # the same error as Q's, from the U-statistic
+    with pytest.raises(InsufficientDataError,
+                       match=re.escape("need at least m=2 observations, "
+                                       "got n=1")):
         estimator_gini([1.0])
     with pytest.raises(InsufficientDataError):
         estimator_lms([1.0])
-    with pytest.raises(ValueError):
-        estimator_q([0.0, 1.0, 2.0], alpha=1.5)
+    for build in (lambda: estimator_q([0.0, 1.0, 2.0], alpha=1.5),
+                  lambda: q_gl_spec(alpha=1.5)):
+        with pytest.raises(ValueError,
+                           match=re.escape("alpha must be in (0, 1), "
+                                           "got 1.5")):
+            build()
     with pytest.raises(ValueError):
         estimator_c([0.0, 1.0, 2.0], alpha=0.7)
     with pytest.raises(InsufficientDataError,

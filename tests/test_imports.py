@@ -44,7 +44,7 @@ def test_import_loads_no_scipy_stats_or_signal(statement, tmp_path):
 
 
 def test_import_loads_no_thread_pool(tmp_path):
-    # q_subsampled imports its draw-ahead executor when it first needs it
+    # run_experiment imports its executor only to run a q_sub cell
     assert modules_after("import glstat", tmp_path,
                          "concurrent.futures") == set()
 

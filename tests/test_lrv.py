@@ -137,7 +137,24 @@ def test_influence_kernel_gini_identity():
     spec = gini_gl_spec()
     a1 = a1_hat_all(x, spec)
     g1 = g1_hat_all(x, GINI)
-    np.testing.assert_allclose(a1, g1, atol=1e-12)
+    np.testing.assert_array_equal(a1, g1)
+
+
+@pytest.mark.parametrize("kernel", [
+    GINI, builtin_kernel("range", {"m": 2}), builtin_kernel("range", {"m": 3}),
+    builtin_kernel("identity"), builtin_kernel("min_pairwise", {"m": 2}),
+    custom_kernel("half_sq_diff", 2, lambda a: (a[0] - a[1]) ** 2 / 2)],
+    ids=lambda k: f"{k.name}{k.m}")
+def test_u_statistic_lrv_is_the_constant_j_gl_lrv(kernel):
+    # ghat_1 takes Ahat_1's expression for J == 1, (S - C(n, m-1) U_n) / d1,
+    # so the two are the same doubles; min_pairwise m = 3, whose U_n
+    # comes from its tail sums, is the one exception
+    spec = GLSpec(kernel=kernel, weight=WeightFunctionJ.constant(1.0))
+    for seed in range(20):
+        x = np.random.default_rng(seed).standard_normal(37 + seed % 5)
+        np.testing.assert_array_equal(a1_hat_all(x, spec),
+                                      g1_hat_all(x, kernel))
+        assert lrv_ustat(x, kernel) == lrv_gl(x, spec).sigma2_raw
 
 
 def test_a_kernel_hat_is_kernel_minus_mean_for_gini():

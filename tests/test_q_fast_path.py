@@ -33,7 +33,6 @@ from glstat import (
     gl_statistic,
     lrv_gl,
     q_gl_spec,
-    u_quantile,
 )
 from glstat.ustat import (MinPairwiseCounts, _clear_below, _rank,
                           u_distribution)
@@ -97,8 +96,8 @@ def test_counted_route_matches_enumeration(raw, m, shape, alpha, t, seed):
     assert gl_statistic(x, fast_spec) == gl_statistic(x, enum_spec)
     for p in (alpha, 0.25, 0.75, 1.0):
         for conv in ("ceil", "floor_bracket"):
-            assert (u_quantile(x, kern, p, conv)
-                    == u_quantile(x, ENUM[m], p, conv))
+            assert (u_distribution(x, kern).quantile(p, conv)
+                    == u_distribution(x, ENUM[m]).quantile(p, conv))
     for s in (t, -t, 0.0, *kvs.sorted_values[::7]):
         assert H.cdf(s) == kvs.cdf(s)
         assert (u_distribution(x, kern).cdf(s)

@@ -21,7 +21,6 @@ from glstat import (
     kernel_values,
     q_gl_spec,
     u_distribution,
-    u_quantile,
     u_statistic,
 )
 from glstat import ustat
@@ -88,23 +87,23 @@ def test_u_cdf_is_step_distribution():
 
 
 def test_u_quantile_conventions():
-    x = [0.0, 1.0, 2.0]
-    assert u_quantile(x, GINI, 0.5) == 1.0
-    assert u_quantile(x, GINI, 0.5, convention="floor_bracket") == 1.0
-    assert u_quantile(x, GINI, 1.0) == 2.0
+    H = u_distribution([0.0, 1.0, 2.0], GINI)
+    assert H.quantile(0.5) == 1.0
+    assert H.quantile(0.5, convention="floor_bracket") == 1.0
+    assert H.quantile(1.0) == 2.0
     # floor_bracket clamps the index at one from below
-    assert u_quantile(x, GINI, 0.1, convention="floor_bracket") == 1.0
+    assert H.quantile(0.1, convention="floor_bracket") == 1.0
     with pytest.raises(ValueError):
-        u_quantile(x, GINI, 0.0)
+        H.quantile(0.0)
     with pytest.raises(ValueError):
-        u_quantile(x, GINI, 1.5)
+        H.quantile(1.5)
 
 
 def test_quantile_cdf_consistency():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(12)
     for p in (0.1, 0.25, 0.5, 0.9, 1.0):
-        q = u_quantile(x, GINI, p)
+        q = u_distribution(x, GINI).quantile(p)
         assert u_distribution(x, GINI).cdf(q) >= p - 1e-12
 
 
